@@ -48,7 +48,7 @@ pub mod session;
 pub mod store;
 
 pub use session::{ExplainOutput, QueryResult, RavenSession, SessionConfig};
-pub use store::{AuditEntry, ModelStore, StoreError};
+pub use store::{AuditEntry, ModelStore, StoreError, RETAINED_VERSIONS};
 
 // Re-export the subsystem crates so downstream users need one dependency.
 pub use raven_data as data;

@@ -1,12 +1,28 @@
-//! Micro-batched point scoring with SLO-aware flushing.
+//! Micro-batched point scoring with SLO-aware flushing, and the
+//! caller-runs shortcut for models too cheap to be worth a queue.
 //!
 //! Serving workloads are dominated by single-row "score this one entity"
-//! requests, but every scoring substrate in Raven is dramatically cheaper
-//! per row when invoked on a batch (the paper's §5 observation v: batch
-//! inference gains ~an order of magnitude). The micro-batcher closes the
-//! gap: concurrent single-row requests are queued, coalesced for up to a
-//! flush window (or until a batch fills), grouped by model, and scored
-//! with **one** pipeline invocation per model per flush.
+//! requests. The paper's §5 observation v (batch inference gains ~an
+//! order of magnitude) is about a *per-invocation* overhead — crossing
+//! into an ML runtime — that batching amortizes. The micro-batcher does
+//! that amortizing: concurrent single-row requests are queued, coalesced
+//! for up to a flush window (or until a batch fills), grouped by model,
+//! and scored with **one** pipeline invocation per model per flush.
+//!
+//! Coalescing itself costs two thread hand-offs (caller → worker →
+//! caller), each a wake-up of some tens of µs. It pays only when the
+//! invocation it amortizes costs much more than that. So the batcher
+//! keeps, next to the tenant-wide cost EWMAs, one pair per **(model,
+//! version)** — recorded by every invocation, whichever path made it —
+//! and offers [`MicroBatcher::try_score_inline`]: when the model's
+//! current version has been measured and one row of it is predicted to
+//! cost at most [`INLINE_SCORE_BUDGET_US`], the row is scored on the
+//! calling thread, recorded exactly as a flush of one row, and never
+//! touches the queue. The reactor calls it for wire `Score` frames;
+//! everything it declines (unmeasured, expensive, unknown, wrong arity,
+//! no deadline slack) takes [`MicroBatcher::score_with_deadline`], which
+//! still owns coalescing and every typed error. Both paths run the same
+//! `score_and_record`.
 //!
 //! The flush window is deadline-aware. Each request may carry a deadline;
 //! the worker sheds requests whose deadline expired while they queued
@@ -30,15 +46,19 @@
 //! request ([admit-or-shed]); every shed/expired outcome lands in the
 //! registry (`batcher_shed_total`, `batcher_expired_total`) so the
 //! counters reconcile exactly:
-//! `requests == rows scored + bad_arity + shed + expired + failed`.
+//! `requests == rows scored + bad_arity + shed + expired + failed`
+//! (`batcher_inline_total` counts how many of the rows scored took the
+//! caller-runs path).
 //!
 //! [admit-or-shed]: MicroBatcher::score_with_deadline
 
 use crate::error::{Result, ServerError};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use raven_core::ModelStore;
+use raven_ml::Pipeline;
 use raven_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder};
 use raven_relational::CancelToken;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -114,6 +134,9 @@ pub struct BatcherStats {
     pub batches: u64,
     /// Rows scored across all batches.
     pub batched_rows: u64,
+    /// Of those rows (and invocations), how many
+    /// [`MicroBatcher::try_score_inline`] scored on the caller's thread.
+    pub inline: u64,
     /// Largest single scorer invocation.
     pub max_batch_seen: u64,
     /// Requests rejected at enqueue: the cost model predicted a deadline
@@ -171,6 +194,7 @@ impl BatcherStats {
         self.requests += other.requests;
         self.batches += other.batches;
         self.batched_rows += other.batched_rows;
+        self.inline += other.inline;
         self.max_batch_seen = self.max_batch_seen.max(other.max_batch_seen);
         self.shed += other.shed;
         self.expired += other.expired;
@@ -191,6 +215,14 @@ const COST_EWMA_ALPHA: f64 = 0.2;
 /// wall-clock micros and should never be near this, but a cap keeps the
 /// arithmetic safe to convert into a `Duration`.
 const MAX_PREDICTED_US: f64 = 3.6e9;
+
+/// The most one row may be predicted to cost (µs) for
+/// [`MicroBatcher::try_score_inline`] to score it on the caller's thread:
+/// half of one of the four thread wake-ups the caller-runs path saves
+/// (reactor → executor → batcher → executor → reactor, ~40 µs each on
+/// the benchmark host). A constant, not a setting: below it queueing can
+/// only add latency, above it the pooled path behaves as it always has.
+pub const INLINE_SCORE_BUDGET_US: f64 = 20.0;
 
 /// How often a deadline- or cancel-aware caller wakes to poll its token
 /// while waiting for the batched reply.
@@ -232,6 +264,13 @@ pub fn adaptive_flush_window(
     worthwhile.min(affordable).clamp(min_wait, max_wait)
 }
 
+/// Observed scoring cost of one model version.
+struct ModelCost {
+    version: u32,
+    invocation_us: Gauge,
+    row_us: Gauge,
+}
+
 /// Registry-backed batcher instrumentation. Every handle is an `Arc`
 /// over atomics obtained once at construction, so the flush loop records
 /// lock-free; the same series are readable from the tenant's metrics
@@ -240,6 +279,8 @@ struct Counters {
     requests: Arc<Counter>,
     batches: Arc<Counter>,
     batched_rows: Arc<Counter>,
+    /// Invocations made by the caller-runs path (a subset of `batches`).
+    inline: Arc<Counter>,
     score_micros: Arc<Counter>,
     /// Enqueue-time rejections: predicted deadline miss.
     shed: Arc<Counter>,
@@ -258,6 +299,13 @@ struct Counters {
     /// round to a zero cost).
     ewma_invocation_us: Arc<Gauge>,
     ewma_row_us: Arc<Gauge>,
+    /// The same two EWMAs per model, for the version last scored: the
+    /// tenant-wide pair blends a 0.3 µs tree with whatever else the
+    /// tenant owns, which is no basis for deciding whether *this* model
+    /// is worth a queue. One entry per model name (a newer version
+    /// replaces it), so the map is bounded by the models stored. Not
+    /// registry series: registry names are static.
+    model_costs: RwLock<HashMap<String, ModelCost>>,
     /// Largest single invocation — an exact high-water mark (updated via
     /// [`Gauge::set_max`]), which a log2 histogram cannot recover.
     max_batch: Arc<Gauge>,
@@ -275,6 +323,7 @@ impl Counters {
             requests: registry.counter("batcher_requests_total"),
             batches: registry.counter("batcher_batches_total"),
             batched_rows: registry.counter("batcher_rows_total"),
+            inline: registry.counter("batcher_inline_total"),
             score_micros: registry.counter("batcher_score_micros_total"),
             shed: registry.counter("batcher_shed_total"),
             expired: registry.counter("batcher_expired_total"),
@@ -284,9 +333,53 @@ impl Counters {
             invocation_us: registry.histogram("batcher_invocation_us"),
             ewma_invocation_us: registry.gauge("batcher_ewma_invocation_us"),
             ewma_row_us: registry.gauge("batcher_ewma_row_us"),
+            model_costs: RwLock::new(HashMap::new()),
             max_batch: registry.gauge("batcher_max_batch"),
             window_us: registry.gauge("batcher_window_us"),
             queue_depth: AtomicU64::new(0),
+        }
+    }
+
+    /// Predicted cost (µs) of scoring one row of `model` at `version`
+    /// alone, or `None` while that version has never been scored.
+    fn predicted_row_cost_us(&self, model: &str, version: u32) -> Option<f64> {
+        let costs = self.model_costs.read();
+        let cost = costs.get(model).filter(|c| c.version == version)?;
+        Some(predicted_cost_us(
+            cost.invocation_us.get(),
+            cost.row_us.get(),
+            1,
+        ))
+    }
+
+    /// Fold one invocation into the tenant-wide EWMAs and the model's.
+    fn observe_cost(&self, model: &str, version: u32, micros: f64, rows: usize) {
+        let row_micros = micros / rows as f64;
+        self.ewma_invocation_us.ewma(micros, COST_EWMA_ALPHA);
+        self.ewma_row_us.ewma(row_micros, COST_EWMA_ALPHA);
+        if let Some(cost) = self.model_costs.read().get(model) {
+            if cost.version >= version {
+                // A flush that resolved the model before an update may
+                // report after it: the old version's cost is of no use.
+                if cost.version == version {
+                    cost.invocation_us.ewma(micros, COST_EWMA_ALPHA);
+                    cost.row_us.ewma(row_micros, COST_EWMA_ALPHA);
+                }
+                return;
+            }
+        }
+        // First invocation of this version: seed the entry before it is
+        // visible, so no reader prices a measured model at zero.
+        let seeded = ModelCost {
+            version,
+            invocation_us: Gauge::new(),
+            row_us: Gauge::new(),
+        };
+        seeded.invocation_us.set(micros);
+        seeded.row_us.set(row_micros);
+        let mut costs = self.model_costs.write();
+        if costs.get(model).is_none_or(|c| c.version < version) {
+            costs.insert(model.to_string(), seeded);
         }
     }
 }
@@ -320,6 +413,7 @@ struct Request {
 pub struct MicroBatcher {
     tx: Mutex<Option<mpsc::Sender<Request>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
+    store: Arc<ModelStore>,
     counters: Arc<Counters>,
 }
 
@@ -339,14 +433,15 @@ impl MicroBatcher {
     ) -> Self {
         let (tx, rx) = mpsc::channel::<Request>();
         let counters = Arc::new(Counters::from_registry(registry));
-        let worker_counters = counters.clone();
+        let (worker_store, worker_counters) = (store.clone(), counters.clone());
         let worker = std::thread::Builder::new()
             .name("raven-microbatcher".into())
-            .spawn(move || batch_loop(rx, store, config, worker_counters))
+            .spawn(move || batch_loop(rx, worker_store, config, worker_counters))
             .expect("spawn micro-batcher worker");
         MicroBatcher {
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
+            store,
             counters,
         }
     }
@@ -382,6 +477,49 @@ impl MicroBatcher {
         trace: &SpanRecorder,
     ) -> Result<f64> {
         self.score_inner(model, row, deadline, cancel, trace)
+    }
+
+    /// Score `row` **on the calling thread**, or decline — the
+    /// non-blocking, caller-runs twin of [`Self::score_with_deadline`]
+    /// for callers that must not wait (the reactor). Commits only when
+    /// the latest version of `model` has an observed cost, one row of it
+    /// is predicted within [`INLINE_SCORE_BUDGET_US`], the arity matches
+    /// and `deadline` (if any) leaves more slack than the prediction.
+    /// `None` means nothing was counted: the caller takes the queued
+    /// path, which repeats the lookups and owns every typed rejection.
+    ///
+    /// A committed call is recorded exactly as a flush of one row, plus
+    /// `batcher_inline_total`. `begin_trace` runs only on commit (a
+    /// declined probe must not consume a sampling slot) and its recorder
+    /// comes back carrying the `batcher-score` span.
+    pub fn try_score_inline(
+        &self,
+        model: &str,
+        row: &[f64],
+        deadline: Option<Instant>,
+        begin_trace: impl FnOnce() -> SpanRecorder,
+    ) -> Option<(Result<f64>, SpanRecorder)> {
+        let (version, pipeline) = self.store.get_latest(model).ok()?;
+        if pipeline.steps().len() != row.len() {
+            return None;
+        }
+        let predicted_us = self.counters.predicted_row_cost_us(model, version)?;
+        if predicted_us > INLINE_SCORE_BUDGET_US {
+            return None;
+        }
+        if let Some(at) = deadline {
+            let slack = at.saturating_duration_since(Instant::now());
+            if slack.as_secs_f64() * 1e6 <= predicted_us {
+                return None;
+            }
+        }
+        self.counters.requests.inc();
+        self.counters.inline.inc();
+        let trace = begin_trace();
+        let scored = score_and_record(model, version, &pipeline, row, 1, &self.counters);
+        trace.record("batcher-score", scored.started, scored.elapsed);
+        let outcome = scored.outcome.map(|scores| scores[0]);
+        Some((outcome, trace))
     }
 
     fn score_inner(
@@ -471,6 +609,7 @@ impl MicroBatcher {
             requests: self.counters.requests.get(),
             batches: self.counters.batches.get(),
             batched_rows: self.counters.batched_rows.get(),
+            inline: self.counters.inline.get(),
             max_batch_seen: self.counters.max_batch.get() as u64,
             shed: self.counters.shed.get(),
             expired: self.counters.expired.get(),
@@ -646,8 +785,8 @@ fn score_group(model: &str, group: Vec<Request>, store: &ModelStore, counters: &
             dequeued.saturating_duration_since(req.enqueued),
         );
     }
-    let pipeline = match store.get(model) {
-        Ok(p) => p,
+    let (version, pipeline) = match store.get_latest(model) {
+        Ok(latest) => latest,
         Err(e) => {
             let err = ServerError::Store(e.to_string());
             for req in group {
@@ -676,37 +815,60 @@ fn score_group(model: &str, group: Vec<Request>, store: &ModelStore, counters: &
     for req in &good {
         flat.extend_from_slice(&req.row);
     }
-    counters.batches.inc();
-    counters.batched_rows.add(rows as u64);
-    counters.max_batch.set_max(rows as f64);
-    counters.batch_size.observe(rows as u64);
-    let score_started = Instant::now();
-    let outcome = pipeline.predict_raw(&flat, rows);
-    let elapsed = score_started.elapsed();
-    counters
-        .score_micros
-        .add(elapsed.as_micros().min(u64::MAX as u128) as u64);
-    counters.invocation_us.observe_micros(elapsed);
-    let micros = elapsed.as_secs_f64() * 1e6;
-    counters.ewma_invocation_us.ewma(micros, COST_EWMA_ALPHA);
-    counters
-        .ewma_row_us
-        .ewma(micros / rows as f64, COST_EWMA_ALPHA);
+    let scored = score_and_record(model, version, &pipeline, &flat, rows, counters);
     for req in &good {
-        req.trace.record("batcher-score", score_started, elapsed);
+        req.trace
+            .record("batcher-score", scored.started, scored.elapsed);
     }
-    match outcome {
+    match scored.outcome {
         Ok(scores) => {
             for (req, score) in good.into_iter().zip(scores) {
                 let _ = req.reply.send(Ok(score));
             }
         }
-        Err(e) => {
-            let err = ServerError::Scoring(e.to_string());
+        Err(err) => {
             for req in good {
                 let _ = req.reply.send(Err(err.clone()));
             }
         }
+    }
+}
+
+/// One scorer invocation and when it ran.
+struct Scored {
+    started: Instant,
+    elapsed: Duration,
+    outcome: Result<Vec<f64>>,
+}
+
+/// Score `rows` rows (`flat`, row-major) of `model` at `version` and
+/// record the invocation: the one place rows meet a pipeline, shared by
+/// the worker's flush and [`MicroBatcher::try_score_inline`], so the two
+/// cannot account differently.
+fn score_and_record(
+    model: &str,
+    version: u32,
+    pipeline: &Pipeline,
+    flat: &[f64],
+    rows: usize,
+    counters: &Counters,
+) -> Scored {
+    counters.batches.inc();
+    counters.batched_rows.add(rows as u64);
+    counters.max_batch.set_max(rows as f64);
+    counters.batch_size.observe(rows as u64);
+    let started = Instant::now();
+    let outcome = pipeline.predict_raw(flat, rows);
+    let elapsed = started.elapsed();
+    counters
+        .score_micros
+        .add(elapsed.as_micros().min(u64::MAX as u128) as u64);
+    counters.invocation_us.observe_micros(elapsed);
+    counters.observe_cost(model, version, elapsed.as_secs_f64() * 1e6, rows);
+    Scored {
+        started,
+        elapsed,
+        outcome: outcome.map_err(|e| ServerError::Scoring(e.to_string())),
     }
 }
 
@@ -716,17 +878,20 @@ mod tests {
     use raven_ml::featurize::Transform;
     use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel, Pipeline};
 
-    fn store_with_linear(name: &str, w: &[f64], b: f64) -> Arc<ModelStore> {
-        let store = Arc::new(ModelStore::new());
+    fn linear(w: &[f64], b: f64) -> Pipeline {
         let steps = (0..w.len())
             .map(|i| FeatureStep::new(format!("f{i}"), Transform::Identity))
             .collect();
-        let pipeline = Pipeline::new(
+        Pipeline::new(
             steps,
             Estimator::Linear(LinearModel::new(w.to_vec(), b, LinearKind::Regression).unwrap()),
         )
-        .unwrap();
-        store.store(name, pipeline);
+        .unwrap()
+    }
+
+    fn store_with_linear(name: &str, w: &[f64], b: f64) -> Arc<ModelStore> {
+        let store = Arc::new(ModelStore::new());
+        store.store(name, linear(w, b));
         store
     }
 
@@ -1120,6 +1285,113 @@ mod tests {
         let spans = trace.into_spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["batcher-queue", "batcher-score"]);
+    }
+
+    /// Make `model` at `version` measured-cheap whatever was observed so
+    /// far: a debug build under a parallel test run can measure anything.
+    fn seed_cheap(batcher: &MicroBatcher, model: &str, version: u32) {
+        batcher.counters.model_costs.write().remove(model);
+        batcher.counters.observe_cost(model, version, 1.0, 1);
+    }
+
+    fn inline(batcher: &MicroBatcher, model: &str, row: &[f64]) -> Option<Result<f64>> {
+        batcher
+            .try_score_inline(model, row, None, SpanRecorder::disabled)
+            .map(|(outcome, _)| outcome)
+    }
+
+    #[test]
+    fn inline_is_chosen_from_the_measured_cost_of_the_current_version() {
+        let store = store_with_linear("m", &[2.0, -1.0], 0.5);
+        let batcher = MicroBatcher::new(store.clone(), BatchConfig::default());
+        // Unmeasured: declines, and a declined probe counts nothing.
+        assert!(inline(&batcher, "m", &[3.0, 1.0]).is_none());
+        assert!(inline(&batcher, "ghost", &[3.0, 1.0]).is_none());
+        assert_eq!(batcher.stats().requests, 0);
+        // The pooled path measures it ...
+        assert_eq!(batcher.score("m", vec![3.0, 1.0]).unwrap(), 5.5);
+        assert!(batcher.counters.predicted_row_cost_us("m", 1).is_some());
+        seed_cheap(&batcher, "m", 1);
+        // ... after which it scores inline, but never on a bad arity or
+        // with less deadline slack than the predicted cost.
+        assert_eq!(inline(&batcher, "m", &[3.0, 1.0]).unwrap().unwrap(), 5.5);
+        assert!(inline(&batcher, "m", &[3.0]).is_none());
+        let expired = Some(Instant::now());
+        assert!(batcher
+            .try_score_inline("m", &[3.0, 1.0], expired, SpanRecorder::disabled)
+            .is_none());
+        let roomy = Some(Instant::now() + Duration::from_secs(60));
+        seed_cheap(&batcher, "m", 1);
+        assert!(batcher
+            .try_score_inline("m", &[3.0, 1.0], roomy, SpanRecorder::disabled)
+            .is_some());
+        // Over the budget: pooled, however often it is asked.
+        batcher
+            .counters
+            .observe_cost("m", 1, 100.0 * INLINE_SCORE_BUDGET_US, 1);
+        assert!(inline(&batcher, "m", &[3.0, 1.0]).is_none());
+        // A new version is unmeasured again, and an observation of the
+        // old one arriving late neither revives nor overwrites anything.
+        let v2 = store.store("m", linear(&[1.0, 1.0], 0.0));
+        assert!(inline(&batcher, "m", &[3.0, 1.0]).is_none());
+        seed_cheap(&batcher, "m", v2);
+        batcher.counters.observe_cost("m", 1, 500.0, 1);
+        assert_eq!(batcher.counters.predicted_row_cost_us("m", v2), Some(2.0));
+        assert!(batcher.counters.predicted_row_cost_us("m", 1).is_none());
+        assert!(inline(&batcher, "m", &[3.0, 1.0]).is_some());
+        let stats = batcher.stats();
+        assert_eq!(stats.inline, 3);
+        assert_eq!(stats.requests, 4, "one pooled, three inline: {stats:?}");
+    }
+
+    #[test]
+    fn an_inline_score_is_recorded_as_a_flush_of_one_row() {
+        // Two batchers over the same store, one scoring through the
+        // queue and one inline: every counter and histogram they share
+        // must move identically, and only `inline` may tell them apart.
+        let store = store_with_linear("m", &[1.0], 0.0);
+        let registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+        let [pooled, inlined] = [0, 1].map(|i| {
+            MicroBatcher::with_registry(store.clone(), BatchConfig::default(), &registries[i])
+        });
+        let trace = SpanRecorder::enabled();
+        for i in 0..5 {
+            assert_eq!(pooled.score("m", vec![i as f64]).unwrap(), i as f64);
+            seed_cheap(&inlined, "m", 1);
+            let (outcome, _) = inlined
+                .try_score_inline("m", &[i as f64], None, || trace.clone())
+                .unwrap();
+            assert_eq!(outcome.unwrap(), i as f64);
+        }
+        let [p, i] = [&registries[0], &registries[1]].map(MetricsRegistry::snapshot);
+        for name in [
+            "batcher_requests_total",
+            "batcher_batches_total",
+            "batcher_rows_total",
+            "batcher_shed_total",
+            "batcher_expired_total",
+            "batcher_bad_arity_total",
+            "batcher_failed_total",
+        ] {
+            assert_eq!(p.counters[name], i.counters[name], "{name}");
+        }
+        for name in ["batcher_batch_size", "batcher_invocation_us"] {
+            assert_eq!(p.histograms[name].count, i.histograms[name].count, "{name}");
+        }
+        assert_eq!(p.histograms["batcher_batch_size"].sum, 5);
+        assert_eq!(i.histograms["batcher_batch_size"].sum, 5);
+        assert_eq!(i.gauges["batcher_max_batch"], 1.0);
+        assert!(i.gauges["batcher_ewma_row_us"] > 0.0);
+        assert_eq!(
+            (
+                p.counters["batcher_inline_total"],
+                i.counters["batcher_inline_total"]
+            ),
+            (0, 5)
+        );
+        // The trace of an inline score has its invocation and no queue.
+        let names: Vec<String> = trace.into_spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["batcher-score"; 5]);
     }
 
     #[test]

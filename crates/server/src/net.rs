@@ -168,13 +168,19 @@ impl ConnShared {
 
 /// One request dispatched to the executor pool.
 struct Job {
+    reply: ReplyTo,
+    request: Request,
+    /// When the reactor parsed the frame — deadlines count from here.
+    started: Instant,
+}
+
+/// Where a job's frames go: kept apart from the request so an executor
+/// can consume the request while still addressing its completions.
+struct ReplyTo {
     conn_key: usize,
     request_id: u32,
     version: u8,
-    request: Request,
     conn: Arc<ConnShared>,
-    /// When the reactor parsed the frame — deadlines count from here.
-    started: Instant,
 }
 
 /// One finished frame (or stream abort) flowing back to the reactor.
@@ -722,15 +728,16 @@ impl Reactor {
                         self.begin_close(key);
                         return;
                     }
-                    // Inline fast path (v6 only): a warm cached query
-                    // is answered on the reactor thread itself — no
-                    // executor handoff, no completion channel, no
-                    // wakeup; the reply frames go straight onto the
-                    // write queue. Anything cold, contended, or
-                    // oversized declines and takes the pooled path
-                    // below. Pre-v6 peers stay on the historical
-                    // executor path end to end: their byte-identical
-                    // guarantee is kept by not re-routing them at all.
+                    // Inline fast path (v6 only): a warm cached query or
+                    // a measured-cheap point score is answered on the
+                    // reactor thread itself — no executor handoff, no
+                    // completion channel, no wakeup; the reply frames
+                    // go straight onto the write queue. Anything cold,
+                    // contended, expensive, or oversized declines and
+                    // takes the pooled path below. Pre-v6 peers stay on
+                    // the historical executor path end to end: their
+                    // byte-identical guarantee is kept by not
+                    // re-routing them at all.
                     let room = self
                         .shared
                         .max_conn_backlog_bytes
@@ -750,11 +757,13 @@ impl Reactor {
                     }
                     conn.inflight.insert(request_id);
                     let job = Job {
-                        conn_key: key,
-                        request_id,
-                        version,
+                        reply: ReplyTo {
+                            conn_key: key,
+                            request_id,
+                            version,
+                            conn: conn.shared.clone(),
+                        },
                         request,
-                        conn: conn.shared.clone(),
                         started: Instant::now(),
                     };
                     if self.job_tx.send(job).is_err() {
@@ -888,16 +897,16 @@ fn executor_loop(
 fn complete(
     done_tx: &mpsc::Sender<Completion>,
     shared: &Shared,
-    job: &Job,
+    to: &ReplyTo,
     frame: Option<Vec<u8>>,
     end: bool,
 ) {
     if let Some(f) = &frame {
-        job.conn.queued_bytes.fetch_add(f.len(), Ordering::SeqCst);
+        to.conn.queued_bytes.fetch_add(f.len(), Ordering::SeqCst);
     }
     let _ = done_tx.send(Completion {
-        conn_key: job.conn_key,
-        request_id: job.request_id,
+        conn_key: to.conn_key,
+        request_id: to.request_id,
         frame,
         end,
     });
@@ -905,13 +914,15 @@ fn complete(
 }
 
 /// The reactor's inline fast path: answer a query **entirely from warm
-/// caches** on the event-loop thread, returning the complete reply
-/// frames (bounded `RowsChunk`s + `RowsEnd` for v6, one monolithic
-/// `Rows` pre-v6), or `None` to dispatch to the executor pool. The
-/// probe ([`ServerState::try_serve_cached_in`]) never blocks and never
-/// executes a plan; `room` is the connection's remaining backlog
-/// budget, so an inline reply can never overshoot the watermark the
-/// streaming path's backpressure gate enforces.
+/// caches**, or a point score **of a measured-cheap model**, on the
+/// event-loop thread, returning the complete reply frames (bounded
+/// `RowsChunk`s + `RowsEnd` for v6, one monolithic `Rows` pre-v6, one
+/// `Score`), or `None` to dispatch to the executor pool. The probes
+/// ([`ServerState::try_serve_cached_in`],
+/// [`ServerState::try_score_inline_in`]) never block, never execute a
+/// plan and never wait on the micro-batcher; `room` is the connection's
+/// remaining backlog budget, so an inline reply can never overshoot the
+/// watermark the streaming path's backpressure gate enforces.
 fn fast_path_frames(
     shared: &Shared,
     request: &Request,
@@ -935,6 +946,15 @@ fn fast_path_frames(
         } => shared
             .state
             .try_serve_cached_params_in(tenant, template, params, *deadline, room)?,
+        Request::Score { model, tenant, row } => {
+            if room < proto::SCORE_FRAME_LEN {
+                return None;
+            }
+            let outcome = shared.state.try_score_inline_in(tenant, model, row)?;
+            return Some(vec![
+                score_response(outcome).encode_framed(version, request_id)
+            ]);
+        }
         _ => return None,
     };
     let table = result.table;
@@ -979,24 +999,40 @@ fn fast_path_frames(
 }
 
 fn run_job(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
-    match &job.request {
-        Request::Query { .. } | Request::QueryParams { .. } if job.version >= 6 => {
-            stream_query(job, done_tx, shared);
+    let Job {
+        reply,
+        request,
+        started,
+    } = job;
+    match request {
+        Request::Query { .. } | Request::QueryParams { .. } if reply.version >= 6 => {
+            stream_query(&reply, &request, started, done_tx, shared);
         }
         Request::Shutdown => {
-            let frame = Response::ShutdownAck.encode_framed(job.version, job.request_id);
-            complete(done_tx, shared, &job, Some(frame), true);
+            let frame = Response::ShutdownAck.encode_framed(reply.version, reply.request_id);
+            complete(done_tx, shared, &reply, Some(frame), true);
             shared.request_shutdown();
         }
-        _ => {
-            let response = serve_request(job.request.clone(), &shared.state);
+        request => {
+            let response = serve_request(request, &shared.state);
             // A result table too large for one frame becomes a typed
             // error the client can read, not a length it must reject.
             let frame = response
-                .encode_framed_checked(job.version, job.request_id)
-                .unwrap_or_else(|_| oversize_error().encode_framed(job.version, job.request_id));
-            complete(done_tx, shared, &job, Some(frame), true);
+                .encode_framed_checked(reply.version, reply.request_id)
+                .unwrap_or_else(|_| {
+                    oversize_error().encode_framed(reply.version, reply.request_id)
+                });
+            complete(done_tx, shared, &reply, Some(frame), true);
         }
+    }
+}
+
+/// The reply to a `Score` request — one function for the pooled and the
+/// inline path, so their frames cannot differ.
+fn score_response(outcome: crate::Result<f64>) -> Response {
+    match outcome {
+        Ok(value) => Response::Score { value },
+        Err(e) => Response::from_error(&e),
     }
 }
 
@@ -1052,8 +1088,14 @@ fn stream_gate(conn: &ConnShared, stream_cancel: &CancelToken, shared: &Shared) 
 /// bounded `RowsChunk` frames (the first carries the schema even for an
 /// empty result), terminated by `RowsEnd` — or by a typed error frame
 /// if the deadline expires or the server shuts down mid-stream.
-fn stream_query(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
-    let (result, deadline) = match &job.request {
+fn stream_query(
+    to: &ReplyTo,
+    request: &Request,
+    started: Instant,
+    done_tx: &mpsc::Sender<Completion>,
+    shared: &Shared,
+) {
+    let (result, deadline) = match request {
         Request::Query {
             sql,
             tenant,
@@ -1075,8 +1117,8 @@ fn stream_query(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
     let result = match result {
         Ok(result) => result,
         Err(e) => {
-            let frame = Response::from_error(&e).encode_framed(job.version, job.request_id);
-            complete(done_tx, shared, &job, Some(frame), true);
+            let frame = Response::from_error(&e).encode_framed(to.version, to.request_id);
+            complete(done_tx, shared, to, Some(frame), true);
             return;
         }
     };
@@ -1084,7 +1126,7 @@ fn stream_query(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
     // governing the stream: expiry between chunks is a typed error.
     let stream_cancel = deadline
         .or(shared.state.config().admission.default_deadline)
-        .map(|d| CancelToken::with_deadline(job.started + d))
+        .map(|d| CancelToken::with_deadline(started + d))
         .unwrap_or_default();
     let table = result.table;
     let total_rows = table.num_rows();
@@ -1093,36 +1135,36 @@ fn stream_query(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
     let mut offset = 0usize;
     loop {
         let len = shared.chunk_rows.min(total_rows - offset);
-        match stream_gate(&job.conn, &stream_cancel, shared) {
+        match stream_gate(&to.conn, &stream_cancel, shared) {
             StreamGate::Proceed => {}
             StreamGate::ConnDead => {
                 // Nowhere to write; free the budget slot and stop.
-                complete(done_tx, shared, &job, None, true);
+                complete(done_tx, shared, to, None, true);
                 return;
             }
             StreamGate::DeadlineExpired => {
                 let frame = Response::from_error(&crate::ServerError::DeadlineExceeded(format!(
                     "deadline expired mid-stream after {offset} of {total_rows} rows"
                 )))
-                .encode_framed(job.version, job.request_id);
-                complete(done_tx, shared, &job, Some(frame), true);
+                .encode_framed(to.version, to.request_id);
+                complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
             StreamGate::ShuttingDown => {
                 let frame = Response::from_error(&crate::ServerError::ShuttingDown)
-                    .encode_framed(job.version, job.request_id);
-                complete(done_tx, shared, &job, Some(frame), true);
+                    .encode_framed(to.version, to.request_id);
+                complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
         }
-        match Response::rows_chunk_frame(job.version, job.request_id, &table, offset, len) {
-            Ok(frame) => complete(done_tx, shared, &job, Some(frame), false),
+        match Response::rows_chunk_frame(to.version, to.request_id, &table, offset, len) {
+            Ok(frame) => complete(done_tx, shared, to, Some(frame), false),
             Err(_) => {
                 // A single chunk overflowing the frame cap means rows
                 // too wide to ship at any chunking; same typed error as
                 // the monolithic path.
-                let frame = oversize_error().encode_framed(job.version, job.request_id);
-                complete(done_tx, shared, &job, Some(frame), true);
+                let frame = oversize_error().encode_framed(to.version, to.request_id);
+                complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
         }
@@ -1136,8 +1178,8 @@ fn stream_query(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
         total_micros,
         total_rows: total_rows as u64,
     }
-    .encode_framed(job.version, job.request_id);
-    complete(done_tx, shared, &job, Some(frame), true);
+    .encode_framed(to.version, to.request_id);
+    complete(done_tx, shared, to, Some(frame), true);
 }
 
 /// Serve one request to its single-frame response (every kind except
@@ -1176,10 +1218,9 @@ fn serve_request(request: Request, state: &Arc<ServerState>) -> Response {
             },
             Err(e) => Response::from_error(&e),
         },
-        Request::Score { model, tenant, row } => match state.score_row_in(&tenant, &model, row) {
-            Ok(value) => Response::Score { value },
-            Err(e) => Response::from_error(&e),
-        },
+        Request::Score { model, tenant, row } => {
+            score_response(state.score_row_in(&tenant, &model, row))
+        }
         // An empty tenant asks for the cross-tenant aggregate; a named
         // tenant gets its own counters — zeros if it does not exist yet
         // (observing a tenant must not create one).

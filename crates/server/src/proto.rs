@@ -137,6 +137,11 @@ pub const MIN_PROTOCOL_VERSION: u8 = 3;
 /// enough that a garbage length prefix cannot OOM the server.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// Wire bytes of a v6 [`Response::Score`] frame: length prefix, version,
+/// kind, request id, one `f64`. The reactor checks a connection's write
+/// budget against it before scoring inline.
+pub const SCORE_FRAME_LEN: usize = 4 + 1 + 1 + 4 + 8;
+
 // Request frame kinds (< 0x80).
 const KIND_PREPARE: u8 = 0x01;
 const KIND_QUERY: u8 = 0x02;
@@ -1317,6 +1322,12 @@ mod tests {
         let wire = resp.encode();
         let body = read_frame(&mut Cursor::new(&wire)).unwrap();
         assert_eq!(Response::decode(&body).unwrap(), resp);
+    }
+
+    #[test]
+    fn score_frame_len_is_the_encoded_length() {
+        let frame = Response::Score { value: -1.5e300 }.encode_framed(PROTOCOL_VERSION, u32::MAX);
+        assert_eq!(frame.len(), SCORE_FRAME_LEN);
     }
 
     #[test]

@@ -719,6 +719,25 @@ impl ServerState {
             .score_row_with_deadline(model, row, deadline)
     }
 
+    /// Score one row **inline on the calling thread**, or decline — the
+    /// reactor's fast path for wire `Score` frames, the twin of
+    /// [`ServerState::try_serve_cached_in`]. Never blocks, never queues,
+    /// never creates a tenant. `None` (unknown tenant or model, a model
+    /// version not yet measured or measured too expensive to be worth
+    /// skipping the queue for, wrong arity, no deadline slack) has
+    /// counted nothing: the caller dispatches to the executor pool and
+    /// [`ServerState::score_row_in`] answers, typed errors included. A
+    /// committed call is counter-for-counter a micro-batcher flush of
+    /// one row, plus `batcher_inline_total`.
+    pub fn try_score_inline_in(
+        &self,
+        tenant: &str,
+        model: &str,
+        row: &[f64],
+    ) -> Option<Result<f64>> {
+        self.try_tenant(tenant)?.try_score_inline(model, row)
+    }
+
     // -----------------------------------------------------------------
     // Observability.
 

@@ -373,10 +373,11 @@ impl fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "micro-batcher: {} requests in {} batches (mean {:.1} rows, max {}, \
+            "micro-batcher: {} requests in {} batches ({} inline, mean {:.1} rows, max {}, \
              ~{:.0} µs/row scorer cost, {} shed, {} expired)",
             self.batcher.requests,
             self.batcher.batches,
+            self.batcher.inline,
             self.batcher.mean_batch_size(),
             self.batcher.max_batch_seen,
             self.batcher.ewma_row_micros,

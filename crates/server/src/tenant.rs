@@ -828,6 +828,31 @@ impl Tenant {
         outcome
     }
 
+    /// Score one row of a wire `Score` frame **on the calling thread**,
+    /// or decline — the reactor's point-scoring fast path, the `Score`
+    /// twin of [`Tenant::serve_cached_fast`]. Never blocks and never
+    /// queues; the micro-batcher decides from the model's measured cost
+    /// ([`MicroBatcher::try_score_inline`]) under the same effective
+    /// deadline [`Tenant::score_row`] would apply, and a declined probe
+    /// has counted nothing. A committed score is traced like a pooled
+    /// one (`score:<model>`, a `batcher-score` span), minus the queue.
+    pub(crate) fn try_score_inline(&self, model: &str, row: &[f64]) -> Option<Result<f64>> {
+        let start = Instant::now();
+        let deadline_at = self.config.admission.default_deadline.map(|d| start + d);
+        let (outcome, trace) = self
+            .batcher
+            .try_score_inline(model, row, deadline_at, || self.trace_sink.begin())?;
+        if self.trace_sink.config().sample_every != 0 {
+            self.trace_sink.finish(
+                trace,
+                self.id.as_str(),
+                &format!("score:{model}"),
+                start.elapsed(),
+            );
+        }
+        Some(outcome)
+    }
+
     /// This tenant's plan-cache counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
