@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo bench -p raven-bench --bench figures`. Each section
 //! prints the series of one paper figure (or in-text number); the
-//! paper-vs-measured record lives in `EXPERIMENTS.md`.
+//! measured record lives in `perfbench/README.md`.
 //!
 //! Default sweeps cap at 1M rows; set `RAVEN_BENCH_FULL=1` for the paper's
 //! full 10M-row Fig. 3 sweep.
@@ -37,7 +37,7 @@ fn main() {
     text_predicate_pruning();
     text_categorical_pruning();
     text_batching();
-    println!("\n=== done; record results in EXPERIMENTS.md ===");
+    println!("\n=== done; the measured record lives in perfbench/README.md ===");
 }
 
 /// Paper Fig. 2(a): model-projection pushdown on the flight-delay

@@ -1,7 +1,10 @@
 //! Serving-layer benchmark: queries/sec through a shared `ServerState`.
 //!
-//! Run with `cargo bench -p raven-bench --bench serving`. Three sections:
+//! Run with `cargo bench -p raven-bench --bench serving`. Eleven sections:
 //!
+//! * **kernel placement** — a forest-heavy morsel scored row-at-a-time
+//!   vs. through the columnar kernel (scores bitwise identical), and the
+//!   optimizer choosing the kernel on its own;
 //! * **plan cache on vs. off** — the amortization the prepared-plan
 //!   cache buys on a repeated inference query (parse → bind → optimize
 //!   skipped on every hit);
@@ -18,8 +21,8 @@
 //! * **network path** — the same workload over the framed-TCP front end
 //!   (loop-back), pricing framing + result serialization per query;
 //! * **serial vs. pipelined** — one connection, warm cached workload:
-//!   the v5 one-frame-in-flight protocol vs. v6 with a 16-deep
-//!   pipeline (acceptance floor: 5x per-connection throughput);
+//!   one request in flight vs. a 16-deep pipeline (per-connection
+//!   throughput);
 //! * **micro-batch sizes {1, 8, 64}** — point-scoring throughput as the
 //!   coalescing window widens (`max_batch = 1` reproduces per-tuple
 //!   scoring; the paper's §5 observation v is the same lever at the
@@ -524,9 +527,9 @@ fn bench_network_path(rows: usize) {
 }
 
 /// Serial vs. pipelined: the same warm cached workload through one
-/// connection, first with the one-frame-in-flight v5 protocol (every
-/// query pays a full client→server→client round trip before the next
-/// may start), then with protocol v6 keeping a 16-deep pipeline filled.
+/// connection, first with one request in flight (every query pays a
+/// full client→server→client round trip before the next may start),
+/// then keeping a 16-deep pipeline filled.
 /// Per-connection throughput is the headline: pipelining amortizes the
 /// round trip and the reactor wake-ups across the in-flight window.
 fn bench_pipelining(rows: usize) {
@@ -555,8 +558,8 @@ fn bench_pipelining(rows: usize) {
     .expect("bind");
     let addr = server.local_addr();
 
-    // Serial oracle: protocol v5, one frame in flight.
-    let mut serial = RavenClient::connect(addr).expect("connect").at_version(5);
+    // Serial: one request in flight.
+    let mut serial = RavenClient::connect(addr).expect("connect");
     serial.query(&hot_sql).expect("warm the connection");
     let start = Instant::now();
     for _ in 0..QUERIES {
@@ -565,7 +568,7 @@ fn bench_pipelining(rows: usize) {
     let serial_elapsed = start.elapsed();
     let serial_qps = qps(QUERIES, serial_elapsed);
 
-    // Pipelined: protocol v6, the full INFLIGHT budget kept occupied in
+    // Pipelined: the full INFLIGHT budget kept occupied in
     // waves — fill the window, drain it, repeat. Submits batch into one
     // write per wave, replies drain through the buffered reader.
     let mut pipelined = PipelinedClient::connect(addr).expect("connect");
@@ -591,15 +594,15 @@ fn bench_pipelining(rows: usize) {
     let pipelined_qps = qps(QUERIES, pipelined_elapsed);
 
     println!(
-        "  serial v5 (1 in flight)    {serial_qps:>9.1} q/s  ({} queries in {:?})",
+        "  serial (1 in flight)       {serial_qps:>9.1} q/s  ({} queries in {:?})",
         QUERIES, serial_elapsed
     );
     println!(
-        "  pipelined v6 ({INFLIGHT} in flight) {pipelined_qps:>9.1} q/s  ({} queries in {:?})",
+        "  pipelined ({INFLIGHT} in flight)   {pipelined_qps:>9.1} q/s  ({} queries in {:?})",
         QUERIES, pipelined_elapsed
     );
     println!(
-        "  per-connection speedup     {:>9.1}x  (acceptance floor: 5x)",
+        "  per-connection speedup     {:>9.1}x",
         pipelined_qps / serial_qps
     );
     server.shutdown();
@@ -800,8 +803,7 @@ fn bench_tracing_overhead(rows: usize) {
 /// columnar kernel, and — for the plan-level view — a session EXPLAIN
 /// showing the cost-based optimizer routing the forest to the kernel on
 /// its own. The scores must be **bitwise identical** between classical
-/// and kernel (the optimizer swaps them per query); the speedup is the
-/// tentpole's acceptance number (floor: 5x).
+/// and kernel (the optimizer swaps them per query).
 fn bench_kernel_placement(rows: usize) {
     use raven_core::{RavenSession, SessionConfig};
     use raven_ml::FlatForest;
@@ -838,10 +840,7 @@ fn bench_kernel_placement(rows: usize) {
         ms(kernel),
         flat.describe(),
     );
-    println!(
-        "  speedup {speedup:>18.1}x  scores bitwise identical: {identical}  \
-         (acceptance floor: 5x, identical)",
-    );
+    println!("  speedup {speedup:>18.1}x  scores bitwise identical: {identical}",);
     assert!(identical, "kernel and classical scores diverged");
 
     // Plan-level: the optimizer must pick the kernel for this forest on

@@ -2,10 +2,10 @@
 //!
 //! Benchmark harness reproducing **every table and figure** of the Raven
 //! paper's evaluation (*"Extending Relational Query Processing with ML
-//! Inference"*, CIDR 2020). See `EXPERIMENTS.md` for the paper-vs-measured
-//! record.
+//! Inference"*, CIDR 2020). The measured record — the committed benchmark
+//! and its numbers on the reference box — lives in `perfbench/README.md`.
 //!
-//! Two targets:
+//! Three targets:
 //! * `benches/figures.rs` — a plain harness (one paper figure per section)
 //!   that prints the same rows/series the paper reports:
 //!   Fig. 2(a) model-projection pushdown, Fig. 2(b) model clustering,
@@ -14,6 +14,8 @@
 //!   (§3.2 static-analysis latency, §4.1 pruning percentages, §5 batching).
 //! * `benches/micro.rs` — Criterion micro-benchmarks of individual rules
 //!   and substrates, including rule on/off ablations.
+//! * `benches/serving.rs` — the serving layer: caches, concurrency, the
+//!   wire path, pipelining, micro-batching, tenancy and tracing.
 //!
 //! Environment knobs:
 //! * `RAVEN_BENCH_FULL=1` — run the paper's full dataset sizes (up to 10M

@@ -114,7 +114,7 @@ impl FlatNode {
 /// A tree ensemble flattened into a contiguous node array for columnar
 /// batch scoring.
 ///
-/// Layout (one packed 16-byte [`FlatNode`] per node, BFS order, children
+/// Layout (one packed 16-byte `FlatNode` per node, BFS order, children
 /// in adjacent pairs, one contiguous array across all trees):
 ///
 /// ```text

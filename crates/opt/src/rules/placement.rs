@@ -9,7 +9,7 @@
 //! whose estimator is a tree or forest, this rule prices the current
 //! strategy against the flattened columnar kernel using the cost model —
 //! and, when the serving layer has observed real per-row latencies
-//! (`batcher_ewma_*` gauges surfaced as [`ObservedCosts`]), the observed
+//! (`batcher_ewma_*` gauges surfaced as [`ObservedCosts`](crate::ObservedCosts)), the observed
 //! classical cost replaces the static estimate, closing the feedback loop
 //! from execution telemetry back into planning.
 

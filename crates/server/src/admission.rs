@@ -19,9 +19,9 @@
 //! The network layer adds the outer rings: a connection cap in
 //! [`crate::net::NetConfig`], and a per-connection pipelining budget
 //! ([`crate::net::NetConfig::max_inflight_per_conn`]) — the reactor
-//! stops parsing a v6 connection that has that many requests executing,
-//! so a pipelining peer cannot queue unbounded work (pre-v6 peers are
-//! always served one frame in flight). Every pipelined request still
+//! stops parsing a connection that has that many requests executing,
+//! so a pipelining peer cannot queue unbounded work. Every pipelined
+//! request still
 //! passes both admission rings here; the reactor's cached-result fast
 //! path merely probes them non-blockingly ([`AdmissionController::try_admit`])
 //! instead of waiting.

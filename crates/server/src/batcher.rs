@@ -281,7 +281,9 @@ struct Counters {
     batched_rows: Arc<Counter>,
     /// Invocations made by the caller-runs path (a subset of `batches`).
     inline: Arc<Counter>,
-    score_micros: Arc<Counter>,
+    /// Wall time inside scorer invocations, in nanoseconds: an inline
+    /// tree score takes well under 1 µs and must not truncate to zero.
+    score_nanos: Arc<Counter>,
     /// Enqueue-time rejections: predicted deadline miss.
     shed: Arc<Counter>,
     /// Flush-time rejections: deadline expired while queued.
@@ -324,7 +326,7 @@ impl Counters {
             batches: registry.counter("batcher_batches_total"),
             batched_rows: registry.counter("batcher_rows_total"),
             inline: registry.counter("batcher_inline_total"),
-            score_micros: registry.counter("batcher_score_micros_total"),
+            score_nanos: registry.counter("batcher_score_nanos_total"),
             shed: registry.counter("batcher_shed_total"),
             expired: registry.counter("batcher_expired_total"),
             bad_arity: registry.counter("batcher_bad_arity_total"),
@@ -350,6 +352,14 @@ impl Counters {
             cost.row_us.get(),
             1,
         ))
+    }
+
+    /// Account the wall time of one scorer invocation of `rows` rows.
+    fn record_score_time(&self, model: &str, version: u32, rows: usize, elapsed: Duration) {
+        self.score_nanos
+            .add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
+        self.invocation_us.observe_micros(elapsed);
+        self.observe_cost(model, version, elapsed.as_secs_f64() * 1e6, rows);
     }
 
     /// Fold one invocation into the tenant-wide EWMAs and the model's.
@@ -615,7 +625,7 @@ impl MicroBatcher {
             expired: self.counters.expired.get(),
             bad_arity: self.counters.bad_arity.get(),
             failed: self.counters.failed.get(),
-            score_micros: self.counters.score_micros.get(),
+            score_micros: self.counters.score_nanos.get() / 1_000,
             ewma_invocation_micros: self.counters.ewma_invocation_us.get(),
             ewma_row_micros: self.counters.ewma_row_us.get(),
             window_micros: self.counters.window_us.get(),
@@ -860,11 +870,7 @@ fn score_and_record(
     let started = Instant::now();
     let outcome = pipeline.predict_raw(flat, rows);
     let elapsed = started.elapsed();
-    counters
-        .score_micros
-        .add(elapsed.as_micros().min(u64::MAX as u128) as u64);
-    counters.invocation_us.observe_micros(elapsed);
-    counters.observe_cost(model, version, elapsed.as_secs_f64() * 1e6, rows);
+    counters.record_score_time(model, version, rows, elapsed);
     Scored {
         started,
         elapsed,
@@ -1342,6 +1348,20 @@ mod tests {
         let stats = batcher.stats();
         assert_eq!(stats.inline, 3);
         assert_eq!(stats.requests, 4, "one pooled, three inline: {stats:?}");
+    }
+
+    /// Sub-microsecond invocations (an inline tree score) still add up:
+    /// the total is kept in nanoseconds and only reported in µs.
+    #[test]
+    fn sub_microsecond_score_time_is_not_truncated() {
+        let batcher =
+            MicroBatcher::new(store_with_linear("m", &[1.0], 0.0), BatchConfig::default());
+        for _ in 0..1_000 {
+            batcher
+                .counters
+                .record_score_time("m", 1, 1, Duration::from_nanos(400));
+        }
+        assert_eq!(batcher.stats().score_micros, 400);
     }
 
     #[test]

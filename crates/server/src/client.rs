@@ -2,19 +2,16 @@
 //! [`crate::net`], used by the examples, benches, and the integration
 //! test harness.
 //!
-//! [`RavenClient`] is the serial client: write a request frame, read its
-//! reply. Against a v6 server a query reply usually arrives as a stream
-//! of bounded [`Response::RowsChunk`] frames closed by a
-//! [`Response::RowsEnd`]; the client reassembles them into one table and
-//! checks the row count against the trailer, so callers see exactly the
-//! `Table` a monolithic `Rows` frame would have carried. Pin an older
-//! protocol version with [`RavenClient::at_version`] to get the
-//! historical single-frame exchange (compat tests use this as the
-//! oracle).
+//! Both clients run on one connection type: request frames are buffered
+//! and written in one go when a reply is awaited, and a query's reply —
+//! a stream of bounded [`Response::RowsChunk`] frames closed by a
+//! [`Response::RowsEnd`] — is reassembled into one table whose row
+//! count is checked against the trailer.
 //!
-//! [`PipelinedClient`] keeps up to the server's per-connection budget of
-//! requests in flight at once, matching out-of-order replies to requests
-//! by the v6 header id — the client half of the pipelined protocol.
+//! [`RavenClient`] is the serial client: every request kind, one in
+//! flight at a time. [`PipelinedClient`] keeps up to the server's
+//! per-connection budget of queries in flight at once, matching
+//! out-of-order replies to requests by the header's request id.
 //!
 //! Error frames come back as the same typed [`ServerError`] the server
 //! produced — `Overloaded`, `DeadlineExceeded`, `Sql`, … — so callers
@@ -24,6 +21,7 @@ use crate::error::{Result, ServerError};
 use crate::proto::{self, Request, Response, WireStats};
 use raven_data::Table;
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -31,37 +29,151 @@ use std::time::Duration;
 /// The reply to a successful [`RavenClient::query`].
 #[derive(Debug, Clone)]
 pub struct ClientQueryReply {
-    /// The materialized result rows (reassembled when streamed).
+    /// The materialized result rows, reassembled from the stream.
     pub table: Table,
     /// Whether the server served a cached plan.
     pub cache_hit: bool,
     /// Server-side end-to-end latency.
     pub server_time: Duration,
-    /// `RowsChunk` frames the result arrived in; `0` for a monolithic
-    /// pre-v6 `Rows` reply.
+    /// `RowsChunk` frames the result arrived in (at least one).
     pub chunks: usize,
+}
+
+/// One request's complete answer: a reassembled query result, or any
+/// other kind's single frame. Error frames become the `Err` around it.
+#[derive(Debug)]
+enum Reply {
+    Rows(ClientQueryReply),
+    Frame(Response),
+}
+
+impl Reply {
+    fn rows(self) -> Result<ClientQueryReply> {
+        match self {
+            Reply::Rows(reply) => Ok(reply),
+            other => Err(unexpected(&other)),
+        }
+    }
+}
+
+/// The send and receive halves both clients share.
+struct Connection {
+    /// Reply side: buffered, so one `read(2)` can drain many frames —
+    /// a full in-flight window's replies usually cost a syscall or two.
+    reader: BufReader<TcpStream>,
+    /// Request side (same socket, second handle).
+    writer: TcpStream,
+    /// Encoded frames sent but not yet written to the socket. Flushed in
+    /// one write when a reply is awaited (or on [`Connection::flush`]),
+    /// so a burst of submits costs one syscall, not one per request.
+    pending: Vec<u8>,
+    next_id: u32,
+    /// Ids sent and not yet fully answered.
+    outstanding: usize,
+    /// Chunks received so far for streams still missing their `RowsEnd`.
+    partial: HashMap<u32, Vec<Table>>,
+}
+
+impl Connection {
+    fn connect(addr: impl ToSocketAddrs) -> Result<Connection> {
+        let stream =
+            TcpStream::connect(addr).map_err(|e| ServerError::Network(format!("connect: {e}")))?;
+        let _ = stream.set_nodelay(true);
+        let reader = stream
+            .try_clone()
+            .map_err(|e| ServerError::Network(format!("clone socket: {e}")))?;
+        Ok(Connection {
+            reader: BufReader::with_capacity(256 * 1024, reader),
+            writer: stream,
+            pending: Vec::new(),
+            next_id: 0,
+            outstanding: 0,
+            partial: HashMap::new(),
+        })
+    }
+
+    fn set_reply_timeout(&self, timeout: Option<Duration>) -> Result<()> {
+        self.reader
+            .get_ref()
+            .set_read_timeout(timeout)
+            .map_err(|e| ServerError::Network(e.to_string()))
+    }
+
+    /// Buffer `request` under the next id and return that id.
+    fn send(&mut self, request: &Request) -> u32 {
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1);
+        self.pending.extend_from_slice(&request.encode_with_id(id));
+        self.outstanding += 1;
+        id
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        self.writer
+            .write_all(&self.pending)
+            .and_then(|_| self.writer.flush())
+            .map_err(|e| ServerError::Network(format!("flush submits: {e}")))?;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Block until the next request is fully answered, in server
+    /// completion order. The outer `Err` is a transport or framing
+    /// failure (the connection is no longer usable); the inner one is
+    /// that request's typed error frame.
+    fn recv(&mut self) -> Result<(u32, Result<Reply>)> {
+        self.flush()?;
+        loop {
+            let body = proto::read_frame(&mut self.reader)?;
+            let (response, _, id) = Response::decode_framed(&body)?;
+            let reply = match response {
+                Response::RowsChunk { table } => {
+                    self.partial
+                        .entry(id)
+                        .or_default()
+                        .push(unwrap_table(table));
+                    continue;
+                }
+                Response::RowsEnd {
+                    cache_hit,
+                    total_micros,
+                    total_rows,
+                } => {
+                    let parts = self.partial.remove(&id).unwrap_or_default();
+                    assemble(parts, cache_hit, total_micros, total_rows).map(Reply::Rows)
+                }
+                Response::Error { code, message } => {
+                    // A mid-stream error (deadline expiry, shutdown)
+                    // aborts the stream: drop any chunks received.
+                    self.partial.remove(&id);
+                    Err(code.into_error(message))
+                }
+                other => Ok(Reply::Frame(other)),
+            };
+            self.outstanding = self.outstanding.saturating_sub(1);
+            return Ok((id, reply));
+        }
+    }
 }
 
 /// A blocking connection to a [`crate::net::RavenServer`], bound to one
 /// tenant namespace ([`crate::tenant::DEFAULT_TENANT`] unless rebound
-/// with [`RavenClient::for_tenant`]).
+/// with [`RavenClient::for_tenant`]). One request in flight at a time.
 pub struct RavenClient {
-    stream: TcpStream,
+    conn: Connection,
     tenant: String,
-    version: u8,
 }
 
 impl RavenClient {
     /// Connect to a serving endpoint (requests run in the default
-    /// tenant, at the current protocol version).
+    /// tenant).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<RavenClient> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| ServerError::Network(format!("connect: {e}")))?;
-        let _ = stream.set_nodelay(true);
         Ok(RavenClient {
-            stream,
+            conn: Connection::connect(addr)?,
             tenant: crate::tenant::DEFAULT_TENANT.to_string(),
-            version: proto::PROTOCOL_VERSION,
         })
     }
 
@@ -82,21 +194,6 @@ impl RavenClient {
         self
     }
 
-    /// Speak an older protocol version on this connection (clamped to
-    /// the supported `3..=6` range). A pre-v6 client gets pre-v6
-    /// behavior end to end: no request ids, monolithic `Rows` replies,
-    /// one frame in flight — the oracle configuration for the
-    /// differential and compat suites.
-    pub fn at_version(mut self, version: u8) -> Self {
-        self.version = version.clamp(proto::MIN_PROTOCOL_VERSION, proto::PROTOCOL_VERSION);
-        self
-    }
-
-    /// The protocol version this connection speaks.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// The tenant this connection's requests run in.
     pub fn tenant(&self) -> &str {
         &self.tenant
@@ -104,62 +201,12 @@ impl RavenClient {
 
     /// Bound how long any single reply may take (`None` = wait forever).
     pub fn set_reply_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| ServerError::Network(e.to_string()))
+        self.conn.set_reply_timeout(timeout)
     }
 
-    fn read_reply(&mut self) -> Result<(Response, u32)> {
-        let body = proto::read_frame(&mut self.stream)?;
-        let (response, _version, request_id) = Response::decode_framed(&body)?;
-        Ok((response, request_id))
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Result<Response> {
-        proto::write_frame(
-            &mut self.stream,
-            &request.encode_for_version(self.version, 0),
-        )?;
-        match self.read_reply()?.0 {
-            Response::Error { code, message } => Err(code.into_error(message)),
-            response => Ok(response),
-        }
-    }
-
-    /// Send a query-shaped request and collect its (possibly streamed)
-    /// reply into one [`ClientQueryReply`].
-    fn query_roundtrip(&mut self, request: &Request) -> Result<ClientQueryReply> {
-        proto::write_frame(
-            &mut self.stream,
-            &request.encode_for_version(self.version, 0),
-        )?;
-        let mut parts: Vec<Table> = Vec::new();
-        loop {
-            match self.read_reply()?.0 {
-                Response::Rows {
-                    cache_hit,
-                    total_micros,
-                    table,
-                } => {
-                    // Pre-v6 monolithic reply (or a v6 server answering
-                    // a pinned older client) — nothing to reassemble.
-                    return Ok(ClientQueryReply {
-                        table: unwrap_table(table),
-                        cache_hit,
-                        server_time: Duration::from_micros(total_micros),
-                        chunks: 0,
-                    });
-                }
-                Response::RowsChunk { table } => parts.push(unwrap_table(table)),
-                Response::RowsEnd {
-                    cache_hit,
-                    total_micros,
-                    total_rows,
-                } => return assemble(parts, cache_hit, total_micros, total_rows),
-                Response::Error { code, message } => return Err(code.into_error(message)),
-                other => return Err(unexpected(&other)),
-            }
-        }
+    fn roundtrip(&mut self, request: &Request) -> Result<Reply> {
+        self.conn.send(request);
+        self.conn.recv()?.1
     }
 
     /// Warm the server's plan cache for `sql` (in this client's tenant)
@@ -171,10 +218,10 @@ impl RavenClient {
             tenant: self.tenant.clone(),
         };
         match self.roundtrip(&request)? {
-            Response::Prepared {
+            Reply::Frame(Response::Prepared {
                 cache_hit,
                 prepare_micros,
-            } => Ok((cache_hit, Duration::from_micros(prepare_micros))),
+            }) => Ok((cache_hit, Duration::from_micros(prepare_micros))),
             other => Err(unexpected(&other)),
         }
     }
@@ -185,7 +232,7 @@ impl RavenClient {
     }
 
     /// Execute `sql` with a server-enforced deadline covering admission
-    /// queueing, execution, and (v6) result streaming. Expiry returns
+    /// queueing, execution, and result streaming. Expiry returns
     /// [`ServerError::DeadlineExceeded`]; a saturated server returns
     /// [`ServerError::Overloaded`].
     pub fn query_with_deadline(
@@ -198,7 +245,7 @@ impl RavenClient {
             tenant: self.tenant.clone(),
             deadline,
         };
-        self.query_roundtrip(&request)
+        self.roundtrip(&request)?.rows()
     }
 
     /// Execute a parameterized template (`?` placeholders) with
@@ -234,7 +281,7 @@ impl RavenClient {
             params,
             deadline,
         };
-        self.query_roundtrip(&request)
+        self.roundtrip(&request)?.rows()
     }
 
     /// Score one raw feature row through this tenant's micro-batcher.
@@ -245,7 +292,7 @@ impl RavenClient {
             row,
         };
         match self.roundtrip(&request)? {
-            Response::Score { value } => Ok(value),
+            Reply::Frame(Response::Score { value }) => Ok(value),
             other => Err(unexpected(&other)),
         }
     }
@@ -254,7 +301,7 @@ impl RavenClient {
     /// result-cache triple (`result_hits` / `result_misses` /
     /// `result_invalidations`; see [`WireStats::result_hit_rate`]) that
     /// says how much of the repeat traffic skipped execution entirely,
-    /// and (protocol v4) the tenant's recent latency percentiles.
+    /// and the tenant's recent latency percentiles.
     pub fn stats(&mut self) -> Result<WireStats> {
         let tenant = self.tenant.clone();
         self.stats_for(&tenant)
@@ -268,7 +315,7 @@ impl RavenClient {
             tenant: tenant.into(),
         };
         match self.roundtrip(&request)? {
-            Response::Stats(stats) => Ok(stats),
+            Reply::Frame(Response::Stats(stats)) => Ok(stats),
             other => Err(unexpected(&other)),
         }
     }
@@ -281,7 +328,7 @@ impl RavenClient {
 
     /// Fetch this tenant's unified metrics as Prometheus-style text
     /// exposition — every series prefixed `raven_` and labeled with the
-    /// tenant. Protocol v5.
+    /// tenant.
     pub fn metrics(&mut self) -> Result<String> {
         let tenant = self.tenant.clone();
         self.metrics_for(&tenant)
@@ -295,7 +342,7 @@ impl RavenClient {
             tenant: tenant.into(),
         };
         match self.roundtrip(&request)? {
-            Response::Metrics { text } => Ok(text),
+            Reply::Frame(Response::Metrics { text }) => Ok(text),
             other => Err(unexpected(&other)),
         }
     }
@@ -309,7 +356,7 @@ impl RavenClient {
     /// Fetch up to `limit` most recent slow-query traces for this
     /// tenant, newest first. Sampled slow requests carry a full span
     /// tree (per-stage latency breakdown, [`raven_obs::Trace::render`]);
-    /// unsampled ones are captured spanless. Protocol v5.
+    /// unsampled ones are captured spanless.
     pub fn slow_queries(&mut self, limit: u32) -> Result<Vec<raven_obs::Trace>> {
         let tenant = self.tenant.clone();
         self.slow_queries_for(&tenant, limit)
@@ -323,7 +370,7 @@ impl RavenClient {
             limit,
         };
         match self.roundtrip(&request)? {
-            Response::Traces { traces } => Ok(traces),
+            Reply::Frame(Response::Traces { traces }) => Ok(traces),
             other => Err(unexpected(&other)),
         }
     }
@@ -331,13 +378,13 @@ impl RavenClient {
     /// Ask the server to shut down; returns once it acknowledges.
     pub fn shutdown_server(&mut self) -> Result<()> {
         match self.roundtrip(&Request::Shutdown)? {
-            Response::ShutdownAck => Ok(()),
+            Reply::Frame(Response::ShutdownAck) => Ok(()),
             other => Err(unexpected(&other)),
         }
     }
 }
 
-/// A pipelined v6 connection: submit up to the server's per-connection
+/// A pipelined connection: submit up to the server's per-connection
 /// in-flight budget of queries without waiting, then receive replies as
 /// they complete — in whatever order the server finishes them, matched
 /// by request id.
@@ -357,40 +404,16 @@ impl RavenClient {
 /// # Ok::<(), raven_server::ServerError>(())
 /// ```
 pub struct PipelinedClient {
-    /// Reply side: buffered, so one `read(2)` can drain many frames —
-    /// a full in-flight window's replies usually cost a syscall or two.
-    reader: BufReader<TcpStream>,
-    /// Request side (same socket, second handle).
-    writer: TcpStream,
-    /// Encoded frames submitted but not yet written to the socket.
-    /// Flushed in one write when a reply is awaited (or on [`Self::flush`]),
-    /// so a burst of submits costs one syscall, not one per request.
-    pending: Vec<u8>,
+    conn: Connection,
     tenant: String,
-    next_id: u32,
-    /// Ids submitted and not yet fully answered.
-    outstanding: usize,
-    /// Chunks received so far for streams still missing their `RowsEnd`.
-    partial: HashMap<u32, Vec<Table>>,
 }
 
 impl PipelinedClient {
     /// Connect a pipelined connection (default tenant).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<PipelinedClient> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| ServerError::Network(format!("connect: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        let reader = stream
-            .try_clone()
-            .map_err(|e| ServerError::Network(format!("clone socket: {e}")))?;
         Ok(PipelinedClient {
-            reader: BufReader::with_capacity(256 * 1024, reader),
-            writer: stream,
-            pending: Vec::new(),
+            conn: Connection::connect(addr)?,
             tenant: crate::tenant::DEFAULT_TENANT.to_string(),
-            next_id: 0,
-            outstanding: 0,
-            partial: HashMap::new(),
         })
     }
 
@@ -402,16 +425,13 @@ impl PipelinedClient {
 
     /// Requests submitted whose replies have not yet been received.
     pub fn in_flight(&self) -> usize {
-        self.outstanding
+        self.conn.outstanding
     }
 
     /// Bound how long any single [`PipelinedClient::recv`] may block
     /// (`None` = wait forever).
     pub fn set_reply_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        self.reader
-            .get_ref()
-            .set_read_timeout(timeout)
-            .map_err(|e| ServerError::Network(e.to_string()))
+        self.conn.set_reply_timeout(timeout)
     }
 
     /// Submit `sql` without waiting for the reply; returns the request
@@ -422,7 +442,7 @@ impl PipelinedClient {
             tenant: self.tenant.clone(),
             deadline,
         };
-        self.send(&request)
+        Ok(self.conn.send(&request))
     }
 
     /// Submit a parameterized template without waiting for the reply.
@@ -438,31 +458,14 @@ impl PipelinedClient {
             params,
             deadline,
         };
-        self.send(&request)
-    }
-
-    fn send(&mut self, request: &Request) -> Result<u32> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        self.pending
-            .extend_from_slice(&request.encode_for_version(proto::PROTOCOL_VERSION, id));
-        self.outstanding += 1;
-        Ok(id)
+        Ok(self.conn.send(&request))
     }
 
     /// Write every buffered submit to the socket. [`Self::recv`] calls
     /// this automatically; call it directly to push requests out while
     /// deliberately not reading replies yet.
     pub fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        self.writer
-            .write_all(&self.pending)
-            .and_then(|_| self.writer.flush())
-            .map_err(|e| ServerError::Network(format!("flush submits: {e}")))?;
-        self.pending.clear();
-        Ok(())
+        self.conn.flush()
     }
 
     /// Block until the next request finishes, in server completion
@@ -471,45 +474,14 @@ impl PipelinedClient {
     /// carries the same typed [`ServerError`]s the serial client
     /// returns.
     pub fn recv(&mut self) -> Result<(u32, Result<ClientQueryReply>)> {
-        self.flush()?;
-        loop {
-            let body = proto::read_frame(&mut self.reader)?;
-            let (response, _version, id) = Response::decode_framed(&body)?;
-            match response {
-                Response::RowsChunk { table } => {
-                    self.partial
-                        .entry(id)
-                        .or_default()
-                        .push(unwrap_table(table));
-                }
-                Response::RowsEnd {
-                    cache_hit,
-                    total_micros,
-                    total_rows,
-                } => {
-                    let parts = self.partial.remove(&id).unwrap_or_default();
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    return Ok((id, assemble(parts, cache_hit, total_micros, total_rows)));
-                }
-                Response::Error { code, message } => {
-                    // A mid-stream error (deadline expiry, shutdown)
-                    // aborts the stream: drop any chunks received.
-                    self.partial.remove(&id);
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    return Ok((id, Err(code.into_error(message))));
-                }
-                other => {
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    return Ok((id, Err(unexpected(&other))));
-                }
-            }
-        }
+        let (id, reply) = self.conn.recv()?;
+        Ok((id, reply.and_then(Reply::rows)))
     }
 
     /// Receive every outstanding reply, returned sorted by request id.
     pub fn drain(&mut self) -> Result<Vec<(u32, Result<ClientQueryReply>)>> {
-        let mut replies = Vec::with_capacity(self.outstanding);
-        while self.outstanding > 0 {
+        let mut replies = Vec::with_capacity(self.in_flight());
+        while self.in_flight() > 0 {
             replies.push(self.recv()?);
         }
         replies.sort_by_key(|(id, _)| *id);
@@ -564,6 +536,6 @@ fn unwrap_table(table: std::sync::Arc<Table>) -> Table {
     std::sync::Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone())
 }
 
-fn unexpected(response: &Response) -> ServerError {
-    ServerError::Protocol(format!("unexpected response frame: {response:?}"))
+fn unexpected(reply: &impl Debug) -> ServerError {
+    ServerError::Protocol(format!("unexpected response frame: {reply:?}"))
 }

@@ -31,8 +31,8 @@
 //!   oldest queued deadline's slack.
 //!
 //! Around that state sits the network front end: a length-prefixed
-//! framed-TCP protocol ([`proto`], version 6 — frames carry the tenant
-//! and a request id; v3 peers land in the [`DEFAULT_TENANT`]) served by
+//! framed-TCP protocol ([`proto`], version 6 only — frames carry the
+//! tenant and a request id) served by
 //! a readiness-polling reactor over a small executor pool
 //! ([`net::RavenServer`]) and spoken by two clients — the blocking
 //! [`client::RavenClient`] (rebindable per namespace via
@@ -52,12 +52,12 @@
 //! Threaded through all of it is the observability layer
 //! ([`raven_obs`]): every tenant owns a lock-cheap [`MetricsRegistry`]
 //! (exact cross-tenant aggregation via snapshot [`RegistrySnapshot`]
-//! merge, Prometheus-style text over the v5 `Metrics` frame) and a
+//! merge, Prometheus-style text over the `Metrics` frame) and a
 //! [`raven_obs::TraceSink`] capturing head-sampled per-request span
 //! trees — normalize → plan-cache lookup → parse/bind → optimize →
 //! fingerprint → result-cache lookup → admission waits → per-operator
 //! execution — with slow requests always kept for forensics and served
-//! as [`Trace`]s over the v5 `Traces` frame
+//! as [`Trace`]s over the `Traces` frame
 //! ([`RavenClient::slow_queries`]).
 //!
 //! Every method takes `&self`; wrap the state in an `Arc` and share it

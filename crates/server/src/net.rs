@@ -13,12 +13,9 @@
 //!
 //! # Pipelining and backpressure
 //!
-//! Protocol v6 peers may keep up to
-//! [`NetConfig::max_inflight_per_conn`] requests in flight per
-//! connection; replies come back in completion order (out-of-order),
-//! matched by the request id in the frame header. Pre-v6 peers keep
-//! their historical contract: the reactor serves them one frame at a
-//! time, in order, with byte-identical frames.
+//! A peer may keep up to [`NetConfig::max_inflight_per_conn`] requests
+//! in flight per connection; replies come back in completion order
+//! (out-of-order), matched by the request id in the frame header.
 //!
 //! Three rings bound the work in the system:
 //!
@@ -34,13 +31,12 @@
 //!    pipelined request still passes both rings.
 //!
 //! Replies are backpressured too: each connection's write queue has a
-//! byte watermark ([`NetConfig::max_conn_backlog_bytes`]). `Rows`
-//! results for v6 peers stream as bounded [`Response::RowsChunk`]
-//! frames, and the executor pauses between chunks while the peer's
-//! queue is over the watermark — honoring the request deadline and
-//! connection teardown (via [`CancelToken`]) between chunks, so a
-//! reader that stalls mid-result can neither OOM the server nor pin an
-//! executor forever.
+//! byte watermark ([`NetConfig::max_conn_backlog_bytes`]). Query
+//! results stream as bounded [`Response::RowsChunk`] frames, and the
+//! executor pauses between chunks while the peer's queue is over the
+//! watermark — honoring the request deadline and connection teardown
+//! (via [`CancelToken`]) between chunks, so a reader that stalls
+//! mid-result can neither OOM the server nor pin an executor forever.
 //!
 //! Shutdown is cooperative: [`RavenServer::signal_shutdown`] (or a
 //! [`Request::Shutdown`] frame) raises a flag and wakes the poller; the
@@ -48,7 +44,7 @@
 //! finished, and tears everything down within a bounded grace period.
 
 use crate::proto::{self, ProtoError, Request, Response, WireStats};
-use crate::state::ServerState;
+use crate::state::{ServerQueryResult, ServerState};
 use crate::stats::StatsSnapshot;
 use polling::{Event, Poller};
 use raven_relational::CancelToken;
@@ -76,12 +72,10 @@ pub struct NetConfig {
     /// Reactor wake-up cadence for timer work (drain deadlines,
     /// shutdown polls) and idle-executor shutdown checks.
     pub poll_interval: Duration,
-    /// Pipelined requests a v6 connection may have executing at once;
-    /// the reactor stops parsing beyond this. Pre-v6 connections are
-    /// always served one-in-flight. Minimum 1.
+    /// Pipelined requests a connection may have executing at once; the
+    /// reactor stops parsing beyond this. Minimum 1.
     pub max_inflight_per_conn: usize,
-    /// Rows per streamed [`Response::RowsChunk`] frame (v6 replies).
-    /// Minimum 1.
+    /// Rows per streamed [`Response::RowsChunk`] frame. Minimum 1.
     pub chunk_rows: usize,
     /// Write-queue byte watermark per connection: result streaming
     /// pauses (deadline- and cancellation-aware) while a peer's unsent
@@ -179,7 +173,6 @@ struct Job {
 struct ReplyTo {
     conn_key: usize,
     request_id: u32,
-    version: u8,
     conn: Arc<ConnShared>,
 }
 
@@ -219,11 +212,8 @@ struct Conn {
     write_queue: VecDeque<Vec<u8>>,
     /// Bytes of `write_queue.front()` already written.
     write_offset: usize,
-    /// Request ids currently executing (pre-v6 frames use id 0).
+    /// Request ids currently executing.
     inflight: HashSet<u32>,
-    /// Version of the last decoded request; error frames before the
-    /// first decode use [`proto::MIN_PROTOCOL_VERSION`].
-    peer_version: u8,
     /// Parsing stopped because the in-flight budget is full.
     parse_blocked: bool,
     /// Interest currently registered with the poller.
@@ -231,17 +221,6 @@ struct Conn {
 }
 
 impl Conn {
-    /// The in-flight budget the *next* frame's version grants: pre-v6
-    /// peers promised one-in-flight, and keeping that bound preserves
-    /// their in-order, byte-identical service.
-    fn budget(&self, frame_version: u8, max_inflight: usize) -> usize {
-        if frame_version >= 6 {
-            max_inflight.max(1)
-        } else {
-            1
-        }
-    }
-
     fn enqueue(&mut self, frame: Vec<u8>) {
         // Coalesce small frames into the tail buffer so one write
         // syscall carries many replies; a pipelined window's worth of
@@ -534,21 +513,18 @@ impl Reactor {
                 write_queue: VecDeque::new(),
                 write_offset: 0,
                 inflight: HashSet::new(),
-                peer_version: proto::MIN_PROTOCOL_VERSION,
                 parse_blocked: false,
                 interest: (false, false),
             };
             if over_cap {
                 // Connection-level backpressure: answer with a typed
                 // frame instead of letting the socket queue silently.
-                // No request was read, so the peer's version is
-                // unknown: encode at the oldest supported version,
-                // which every supported peer can decode.
+                // No request was read, so there is no id to echo: id 0.
                 let frame = Response::Error {
                     code: proto::ErrorCode::Overloaded,
                     message: format!("server at its connection limit ({})", self.max_connections),
                 }
-                .encode_for_version(proto::MIN_PROTOCOL_VERSION);
+                .encode();
                 conn.enqueue(frame);
                 conn.closing_when_idle = true;
                 conn.state = ConnState::Closing;
@@ -682,26 +658,23 @@ impl Reactor {
                 return;
             }
             let len = u32::from_le_bytes(conn.read_buf[..4].try_into().unwrap());
-            if len == 0 || len > proto::MAX_FRAME_LEN {
-                self.protocol_error(key, 0, &ProtoError::BadLength(len));
+            if !(proto::HEADER_LEN as u32..=proto::MAX_FRAME_LEN).contains(&len) {
+                self.protocol_error(key, &ProtoError::BadLength(len));
                 return;
             }
             let total = 4 + len as usize;
             if conn.read_buf.len() < total {
                 return; // partial frame: wait for more bytes
             }
-            // Budget gate — peek the version before consuming.
-            let frame_version = conn.read_buf[4];
-            let budget = conn.budget(frame_version, self.max_inflight);
-            if conn.inflight.len() >= budget {
+            // Budget gate: a full window leaves the frame in the buffer.
+            if conn.inflight.len() >= self.max_inflight {
                 conn.parse_blocked = true;
                 return;
             }
             let body: Vec<u8> = conn.read_buf[4..total].to_vec();
             conn.read_buf.drain(..total);
             match Request::decode_framed(&body) {
-                Ok((request, version, request_id)) => {
-                    conn.peer_version = version;
+                Ok((request, _, request_id)) => {
                     if conn.inflight.contains(&request_id) {
                         // Duplicate id while in flight: typed error for
                         // that id; framing is intact, keep serving.
@@ -711,7 +684,7 @@ impl Reactor {
                                 "request id {request_id} is already in flight on this connection"
                             ),
                         }
-                        .encode_framed(version, request_id);
+                        .encode_with_id(request_id);
                         conn.shared
                             .queued_bytes
                             .fetch_add(frame.len(), Ordering::SeqCst);
@@ -720,7 +693,7 @@ impl Reactor {
                     }
                     if self.shared.shutdown.load(Ordering::SeqCst) {
                         let frame = Response::from_error(&crate::ServerError::ShuttingDown)
-                            .encode_framed(version, request_id);
+                            .encode_with_id(request_id);
                         conn.shared
                             .queued_bytes
                             .fetch_add(frame.len(), Ordering::SeqCst);
@@ -728,39 +701,32 @@ impl Reactor {
                         self.begin_close(key);
                         return;
                     }
-                    // Inline fast path (v6 only): a warm cached query or
-                    // a measured-cheap point score is answered on the
+                    // Inline fast path: a warm cached query or a
+                    // measured-cheap point score is answered on the
                     // reactor thread itself — no executor handoff, no
                     // completion channel, no wakeup; the reply frames
                     // go straight onto the write queue. Anything cold,
                     // contended, expensive, or oversized declines and
-                    // takes the pooled path below. Pre-v6 peers stay on
-                    // the historical executor path end to end: their
-                    // byte-identical guarantee is kept by not
-                    // re-routing them at all.
+                    // takes the pooled path below.
                     let room = self
                         .shared
                         .max_conn_backlog_bytes
                         .saturating_sub(conn.shared.queued_bytes.load(Ordering::SeqCst));
-                    if version >= 6 {
-                        if let Some(frames) =
-                            fast_path_frames(&self.shared, &request, version, request_id, room)
-                        {
-                            for frame in frames {
-                                conn.shared
-                                    .queued_bytes
-                                    .fetch_add(frame.len(), Ordering::SeqCst);
-                                conn.enqueue(frame);
-                            }
-                            continue;
+                    if let Some(frames) = fast_path_frames(&self.shared, &request, request_id, room)
+                    {
+                        for frame in frames {
+                            conn.shared
+                                .queued_bytes
+                                .fetch_add(frame.len(), Ordering::SeqCst);
+                            conn.enqueue(frame);
                         }
+                        continue;
                     }
                     conn.inflight.insert(request_id);
                     let job = Job {
                         reply: ReplyTo {
                             conn_key: key,
                             request_id,
-                            version,
                             conn: conn.shared.clone(),
                         },
                         request,
@@ -771,16 +737,16 @@ impl Reactor {
                     }
                 }
                 Err(e) => {
-                    self.protocol_error(key, 0, &e);
+                    self.protocol_error(key, &e);
                     return;
                 }
             }
         }
     }
 
-    /// Answer protocol confusion once, then close — framing can no
-    /// longer be trusted.
-    fn protocol_error(&mut self, key: usize, request_id: u32, e: &ProtoError) {
+    /// Answer protocol confusion once (id 0: the frame's own id cannot
+    /// be trusted), then close — framing can no longer be trusted.
+    fn protocol_error(&mut self, key: usize, e: &ProtoError) {
         let Some(conn) = self.conns.get_mut(&key) else {
             return;
         };
@@ -788,7 +754,7 @@ impl Reactor {
             code: proto::ErrorCode::Protocol,
             message: e.to_string(),
         }
-        .encode_framed(conn.peer_version, request_id);
+        .encode();
         conn.shared
             .queued_bytes
             .fetch_add(frame.len(), Ordering::SeqCst);
@@ -916,9 +882,8 @@ fn complete(
 /// The reactor's inline fast path: answer a query **entirely from warm
 /// caches**, or a point score **of a measured-cheap model**, on the
 /// event-loop thread, returning the complete reply frames (bounded
-/// `RowsChunk`s + `RowsEnd` for v6, one monolithic `Rows` pre-v6, one
-/// `Score`), or `None` to dispatch to the executor pool. The probes
-/// ([`ServerState::try_serve_cached_in`],
+/// `RowsChunk`s + `RowsEnd`, or one `Score`), or `None` to dispatch to
+/// the executor pool. The probes ([`ServerState::try_serve_cached_in`],
 /// [`ServerState::try_score_inline_in`]) never block, never execute a
 /// plan and never wait on the micro-batcher; `room` is the connection's
 /// remaining backlog budget, so an inline reply can never overshoot the
@@ -926,7 +891,6 @@ fn complete(
 fn fast_path_frames(
     shared: &Shared,
     request: &Request,
-    version: u8,
     request_id: u32,
     room: usize,
 ) -> Option<Vec<Vec<u8>>> {
@@ -951,80 +915,116 @@ fn fast_path_frames(
                 return None;
             }
             let outcome = shared.state.try_score_inline_in(tenant, model, row)?;
-            return Some(vec![
-                score_response(outcome).encode_framed(version, request_id)
-            ]);
+            return Some(vec![score_response(outcome).encode_with_id(request_id)]);
         }
         _ => return None,
     };
     let table = result.table;
     let total_rows = table.num_rows();
-    let total_micros = result.total_time.as_micros() as u64;
-    if version >= 6 {
-        let mut frames = Vec::new();
-        let mut offset = 0usize;
-        loop {
-            let len = shared.chunk_rows.min(total_rows - offset);
-            match Response::rows_chunk_frame(version, request_id, &table, offset, len) {
-                Ok(frame) => frames.push(frame),
-                // Rows too wide to ship at any chunking: the query was
-                // served and counted; only the reply can't fit. Same
-                // typed error the streaming path sends.
-                Err(_) => return Some(vec![oversize_error().encode_framed(version, request_id)]),
-            }
-            offset += len;
-            if offset >= total_rows {
-                break;
-            }
+    let mut frames = Vec::new();
+    let mut offset = 0usize;
+    loop {
+        let len = shared.chunk_rows.min(total_rows - offset);
+        match Response::rows_chunk_frame(proto::PROTOCOL_VERSION, request_id, &table, offset, len) {
+            Ok(frame) => frames.push(frame),
+            // Rows too wide to ship at any chunking: the query was
+            // served and counted; only the reply can't fit. Same typed
+            // error the streaming path sends.
+            Err(_) => return Some(vec![oversize_error().encode_with_id(request_id)]),
         }
-        frames.push(
-            Response::RowsEnd {
-                cache_hit: result.cache_hit,
-                total_micros,
-                total_rows: total_rows as u64,
-            }
-            .encode_framed(version, request_id),
-        );
-        Some(frames)
-    } else {
-        let frame = Response::Rows {
-            cache_hit: result.cache_hit,
-            total_micros,
-            table,
+        offset += len;
+        if offset >= total_rows {
+            break;
         }
-        .encode_framed_checked(version, request_id)
-        .unwrap_or_else(|_| oversize_error().encode_framed(version, request_id));
-        Some(vec![frame])
     }
+    frames.push(
+        Response::RowsEnd {
+            cache_hit: result.cache_hit,
+            total_micros: result.total_time.as_micros() as u64,
+            total_rows: total_rows as u64,
+        }
+        .encode_with_id(request_id),
+    );
+    Some(frames)
 }
 
+/// Serve one pooled request: queries stream their result
+/// ([`stream_result`]); every other kind answers with one frame.
 fn run_job(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
     let Job {
         reply,
         request,
         started,
     } = job;
-    match request {
-        Request::Query { .. } | Request::QueryParams { .. } if reply.version >= 6 => {
-            stream_query(&reply, &request, started, done_tx, shared);
+    let state = &shared.state;
+    let response = match request {
+        Request::Query {
+            sql,
+            tenant,
+            deadline,
+        } => {
+            let result = state.serve_in(&tenant, &sql, deadline);
+            return stream_result(&reply, result, deadline, started, done_tx, shared);
+        }
+        Request::QueryParams {
+            template,
+            tenant,
+            params,
+            deadline,
+        } => {
+            let result = state.serve_with_params_in(&tenant, &template, &params, deadline);
+            return stream_result(&reply, result, deadline, started, done_tx, shared);
+        }
+        Request::Prepare { sql, tenant } => match state.prepare_in(&tenant, &sql) {
+            Ok((prepared, cache_hit)) => Response::Prepared {
+                cache_hit,
+                prepare_micros: prepared.prepare_time.as_micros() as u64,
+            },
+            Err(e) => Response::from_error(&e),
+        },
+        Request::Score { model, tenant, row } => {
+            score_response(state.score_row_in(&tenant, &model, row))
+        }
+        // An empty tenant asks for the cross-tenant aggregate; a named
+        // tenant gets its own counters — zeros if it does not exist yet
+        // (observing a tenant must not create one).
+        Request::Stats { tenant } => {
+            if tenant.is_empty() {
+                Response::Stats(wire_stats(&state.stats()))
+            } else {
+                match state.tenant_stats(&tenant) {
+                    Some(snap) => Response::Stats(wire_stats(&snap)),
+                    None => Response::Stats(WireStats::default()),
+                }
+            }
+        }
+        // Same scoping rule as Stats: empty tenant = aggregate, and
+        // observing a tenant must not create one.
+        Request::Metrics { tenant } => Response::Metrics {
+            text: state.metrics_text(&tenant).unwrap_or_default(),
+        },
+        Request::Traces { tenant, limit } => {
+            let traces = state
+                .slow_queries(&tenant, limit as usize)
+                .unwrap_or_default();
+            Response::Traces {
+                traces: traces.iter().map(|t| (**t).clone()).collect(),
+            }
         }
         Request::Shutdown => {
-            let frame = Response::ShutdownAck.encode_framed(reply.version, reply.request_id);
+            let frame = Response::ShutdownAck.encode_with_id(reply.request_id);
             complete(done_tx, shared, &reply, Some(frame), true);
             shared.request_shutdown();
+            return;
         }
-        request => {
-            let response = serve_request(request, &shared.state);
-            // A result table too large for one frame becomes a typed
-            // error the client can read, not a length it must reject.
-            let frame = response
-                .encode_framed_checked(reply.version, reply.request_id)
-                .unwrap_or_else(|_| {
-                    oversize_error().encode_framed(reply.version, reply.request_id)
-                });
-            complete(done_tx, shared, &reply, Some(frame), true);
-        }
+    };
+    let mut frame = response.encode_with_id(reply.request_id);
+    if frame.len() - 4 > proto::MAX_FRAME_LEN as usize {
+        // A reply too large for one frame becomes a typed error the
+        // client can read, not a length it must reject.
+        frame = oversize_error().encode_with_id(reply.request_id);
     }
+    complete(done_tx, shared, &reply, Some(frame), true);
 }
 
 /// The reply to a `Score` request — one function for the pooled and the
@@ -1084,40 +1084,22 @@ fn stream_gate(conn: &ConnShared, stream_cancel: &CancelToken, shared: &Shared) 
     }
 }
 
-/// Serve a v6 `Query`/`QueryParams` and stream the result: one or more
-/// bounded `RowsChunk` frames (the first carries the schema even for an
-/// empty result), terminated by `RowsEnd` — or by a typed error frame
-/// if the deadline expires or the server shuts down mid-stream.
-fn stream_query(
+/// Stream a served query's result: one or more bounded `RowsChunk`
+/// frames (the first carries the schema even for an empty result),
+/// terminated by `RowsEnd` — or by a typed error frame if serving
+/// failed, or the deadline expires or the server shuts down mid-stream.
+fn stream_result(
     to: &ReplyTo,
-    request: &Request,
+    result: crate::Result<ServerQueryResult>,
+    deadline: Option<Duration>,
     started: Instant,
     done_tx: &mpsc::Sender<Completion>,
     shared: &Shared,
 ) {
-    let (result, deadline) = match request {
-        Request::Query {
-            sql,
-            tenant,
-            deadline,
-        } => (shared.state.serve_in(tenant, sql, *deadline), *deadline),
-        Request::QueryParams {
-            template,
-            tenant,
-            params,
-            deadline,
-        } => (
-            shared
-                .state
-                .serve_with_params_in(tenant, template, params, *deadline),
-            *deadline,
-        ),
-        _ => unreachable!("stream_query only takes query requests"),
-    };
     let result = match result {
         Ok(result) => result,
         Err(e) => {
-            let frame = Response::from_error(&e).encode_framed(to.version, to.request_id);
+            let frame = Response::from_error(&e).encode_with_id(to.request_id);
             complete(done_tx, shared, to, Some(frame), true);
             return;
         }
@@ -1146,24 +1128,29 @@ fn stream_query(
                 let frame = Response::from_error(&crate::ServerError::DeadlineExceeded(format!(
                     "deadline expired mid-stream after {offset} of {total_rows} rows"
                 )))
-                .encode_framed(to.version, to.request_id);
+                .encode_with_id(to.request_id);
                 complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
             StreamGate::ShuttingDown => {
                 let frame = Response::from_error(&crate::ServerError::ShuttingDown)
-                    .encode_framed(to.version, to.request_id);
+                    .encode_with_id(to.request_id);
                 complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
         }
-        match Response::rows_chunk_frame(to.version, to.request_id, &table, offset, len) {
+        match Response::rows_chunk_frame(
+            proto::PROTOCOL_VERSION,
+            to.request_id,
+            &table,
+            offset,
+            len,
+        ) {
             Ok(frame) => complete(done_tx, shared, to, Some(frame), false),
             Err(_) => {
                 // A single chunk overflowing the frame cap means rows
-                // too wide to ship at any chunking; same typed error as
-                // the monolithic path.
-                let frame = oversize_error().encode_framed(to.version, to.request_id);
+                // too wide to ship at any chunking.
+                let frame = oversize_error().encode_with_id(to.request_id);
                 complete(done_tx, shared, to, Some(frame), true);
                 return;
             }
@@ -1178,80 +1165,8 @@ fn stream_query(
         total_micros,
         total_rows: total_rows as u64,
     }
-    .encode_framed(to.version, to.request_id);
+    .encode_with_id(to.request_id);
     complete(done_tx, shared, to, Some(frame), true);
-}
-
-/// Serve one request to its single-frame response (every kind except
-/// the streamed v6 query path).
-fn serve_request(request: Request, state: &Arc<ServerState>) -> Response {
-    match request {
-        Request::Prepare { sql, tenant } => match state.prepare_in(&tenant, &sql) {
-            Ok((prepared, cache_hit)) => Response::Prepared {
-                cache_hit,
-                prepare_micros: prepared.prepare_time.as_micros() as u64,
-            },
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Query {
-            sql,
-            tenant,
-            deadline,
-        } => match state.serve_in(&tenant, &sql, deadline) {
-            Ok(result) => Response::Rows {
-                cache_hit: result.cache_hit,
-                total_micros: result.total_time.as_micros() as u64,
-                table: result.table,
-            },
-            Err(e) => Response::from_error(&e),
-        },
-        Request::QueryParams {
-            template,
-            tenant,
-            params,
-            deadline,
-        } => match state.serve_with_params_in(&tenant, &template, &params, deadline) {
-            Ok(result) => Response::Rows {
-                cache_hit: result.cache_hit,
-                total_micros: result.total_time.as_micros() as u64,
-                table: result.table,
-            },
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Score { model, tenant, row } => {
-            score_response(state.score_row_in(&tenant, &model, row))
-        }
-        // An empty tenant asks for the cross-tenant aggregate; a named
-        // tenant gets its own counters — zeros if it does not exist yet
-        // (observing a tenant must not create one).
-        Request::Stats { tenant } => {
-            if tenant.is_empty() {
-                Response::Stats(wire_stats(&state.stats()))
-            } else {
-                match state.tenant_stats(&tenant) {
-                    Some(snap) => Response::Stats(wire_stats(&snap)),
-                    None => Response::Stats(WireStats::default()),
-                }
-            }
-        }
-        // Same scoping rule as Stats: empty tenant = aggregate, and
-        // observing a tenant must not create one.
-        Request::Metrics { tenant } => match state.metrics_text(&tenant) {
-            Some(text) => Response::Metrics { text },
-            None => Response::Metrics {
-                text: String::new(),
-            },
-        },
-        Request::Traces { tenant, limit } => {
-            let traces = state
-                .slow_queries(&tenant, limit as usize)
-                .unwrap_or_default();
-            Response::Traces {
-                traces: traces.iter().map(|t| (**t).clone()).collect(),
-            }
-        }
-        Request::Shutdown => Response::ShutdownAck,
-    }
 }
 
 /// Flatten a [`StatsSnapshot`] into the wire-stable counter set.

@@ -4,27 +4,23 @@
 //! Every message is one length-prefixed frame:
 //!
 //! ```text
-//! v3–v5: [len: u32 LE] [version: u8] [kind: u8] [payload]
-//! v6:    [len: u32 LE] [version: u8] [kind: u8] [request_id: u32 LE] [payload]
+//! [len: u32 LE] [version: u8 = 6] [kind: u8] [request_id: u32 LE] [payload]
 //! ```
 //!
-//! `len` counts everything after itself (version + kind + request id +
-//! payload) and is capped at [`MAX_FRAME_LEN`]; a peer announcing more
-//! is rejected before any allocation happens. `version` is
-//! [`PROTOCOL_VERSION`] or any still-supported earlier version
-//! (≥ [`MIN_PROTOCOL_VERSION`]); anything else produces a typed error,
-//! never a misparse.
+//! `len` counts everything after itself (the [`HEADER_LEN`] header bytes
+//! plus the payload) and must lie in `HEADER_LEN..=`[`MAX_FRAME_LEN`]; a
+//! peer announcing anything else is rejected before any allocation
+//! happens. `version` must be [`PROTOCOL_VERSION`]: any other byte is a
+//! typed [`ProtoError::BadVersion`], never a misparse.
 //!
-//! Version 6 added **pipelining**: the `request_id` names which request
-//! a reply answers, so a client may keep many requests in flight on one
-//! connection and the server may answer them out of order. Pre-v6
-//! frames carry no id (decoded as id `0`) and implicitly promise
-//! one-in-flight, in-order service — which the server preserves for
-//! them. Ids are chosen by the client; the only rule is that an id may
-//! not be reused while still in flight on its connection (the server
-//! answers a duplicate with a typed `Protocol` error).
+//! The `request_id` names which request a reply answers, so a client may
+//! keep many requests in flight on one connection and the server may
+//! answer them out of order. Ids are chosen by the client; the only rule
+//! is that an id may not be reused while still in flight on its
+//! connection (the server answers a duplicate with a typed `Protocol`
+//! error).
 //!
-//! # Frame kinds and payload layout (version 6)
+//! # Frame kinds and payload layout
 //!
 //! Request kinds live below `0x80`, response kinds at or above it, and
 //! `0xEE` is the error frame. All integers are little-endian; `f64`s are
@@ -45,40 +41,23 @@
 //! | `0x07` | [`Request::Metrics`] | tenant (empty = aggregate across tenants) |
 //! | `0x08` | [`Request::Traces`] | tenant (empty = aggregate) · limit: `u32` |
 //! | `0x81` | [`Response::Prepared`] | cache_hit: `u8` · prepare_micros: `u64` |
-//! | `0x82` | [`Response::Rows`] | cache_hit: `u8` · total_micros: `u64` · table |
 //! | `0x83` | [`Response::Score`] | value: `f64` |
 //! | `0x84` | [`Response::Stats`] | the [`WireStats`] counters, each `u64`, in declaration order |
 //! | `0x85` | [`Response::ShutdownAck`] | *(empty)* |
 //! | `0x86` | [`Response::Metrics`] | text: string (Prometheus-style exposition) |
 //! | `0x87` | [`Response::Traces`] | `u32` count, then per trace (see below) |
-//! | `0x88` | [`Response::RowsChunk`] | table (one bounded slice of the result; v6+) |
-//! | `0x89` | [`Response::RowsEnd`] | cache_hit: `u8` · total_micros: `u64` · total_rows: `u64` (v6+) |
+//! | `0x88` | [`Response::RowsChunk`] | table (one bounded slice of the result) |
+//! | `0x89` | [`Response::RowsEnd`] | cache_hit: `u8` · total_micros: `u64` · total_rows: `u64` |
 //! | `0xEE` | [`Response::Error`] | code: `u16` [`ErrorCode`] · message: string |
+//!
+//! A query result always streams: one or more `RowsChunk` frames (the
+//! first carries the schema even for an empty result) closed by one
+//! `RowsEnd`, all carrying the query's request id.
 //!
 //! A *trace* in a `Traces` reply is: tenant: string · sql: string ·
 //! seq: `u64` · total_us: `u64` · slow: `u8` · `u32` span count, then
 //! per span: name: string · parent: `u32` (`u32::MAX` marks a root) ·
 //! start_us: `u64` · duration_us: `u64`.
-//!
-//! # Version 3 / 4 / 5 compatibility
-//!
-//! Version 3 frames (pre-tenancy) carry no tenant field anywhere: the
-//! decoder accepts them and maps every request to the
-//! [`crate::tenant::DEFAULT_TENANT`] namespace (including `Stats`, which
-//! in a v3 world *was* the whole server). The v3 `Stats` reply also
-//! lacks the trailing latency-percentile counters. Version 4 peers
-//! predate the observability frames: `Metrics` (0x07) and `Traces`
-//! (0x08) requests are rejected as [`ProtoError::BadKind`] below
-//! version 5 — same as any unknown kind — so older decoders never face
-//! a payload they cannot parse. Version 5 peers predate pipelining:
-//! their frames carry no request id, and the streaming reply kinds
-//! `RowsChunk` (0x88) / `RowsEnd` (0x89) are likewise
-//! [`ProtoError::BadKind`] below version 6 — a ≤v5 peer always gets its
-//! result as one monolithic `Rows` frame. The server replies with the
-//! version the request arrived in, so a v3/v4/v5 client round-trips
-//! its own bytes end to end. Encoding always emits
-//! [`PROTOCOL_VERSION`] unless an explicit version is passed
-//! ([`Response::encode_for_version`], [`Request::encode_for_version`]).
 //!
 //! Result tables ship column-major: `u32` row count, `u32` column count,
 //! then per column its name, a [`DataType`] tag, and the values. Decoding
@@ -114,33 +93,23 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Wire protocol version carried in every frame. Version 2 added the
-/// `QueryParams` request frame (0x06) and the template counters in the
-/// `Stats` reply; version 3 added the result-cache counters
-/// (`result_hits` / `result_misses` / `result_invalidations`) to the
-/// `Stats` reply; version 4 added the *tenant* field to
-/// `Prepare`/`Query`/`QueryParams`/`Score`/`Stats` requests and the
-/// latency-percentile counters to the `Stats` reply; version 5 added
-/// the observability frames — `Metrics` (0x07) and `Traces` (0x08)
-/// requests with their `0x86`/`0x87` replies; version 6 added the
-/// `request_id` header field (pipelining with out-of-order replies)
-/// and the streamed-result frames `RowsChunk` (0x88) / `RowsEnd`
-/// (0x89).
+/// The wire protocol version carried in every frame, and the only one
+/// spoken (v6 added request ids and streamed results; v1–v5 are retired).
 pub const PROTOCOL_VERSION: u8 = 6;
 
-/// Oldest version still decoded. Version-3 peers predate tenancy and
-/// are served in the default tenant; see the module docs.
-pub const MIN_PROTOCOL_VERSION: u8 = 3;
+/// Frame bytes between the length prefix and the payload — version,
+/// kind, request id — and so the smallest legal `len`.
+pub const HEADER_LEN: usize = 1 + 1 + 4;
 
-/// Upper bound on `len` (version + kind + payload), rejected before
+/// Upper bound on `len` (header + payload), rejected before
 /// allocation. Large enough for multi-million-row result tables, small
 /// enough that a garbage length prefix cannot OOM the server.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Wire bytes of a v6 [`Response::Score`] frame: length prefix, version,
-/// kind, request id, one `f64`. The reactor checks a connection's write
-/// budget against it before scoring inline.
-pub const SCORE_FRAME_LEN: usize = 4 + 1 + 1 + 4 + 8;
+/// Wire bytes of a [`Response::Score`] frame: length prefix, header, one
+/// `f64`. The reactor checks a connection's write budget against it
+/// before scoring inline.
+pub const SCORE_FRAME_LEN: usize = 4 + HEADER_LEN + 8;
 
 // Request frame kinds (< 0x80).
 const KIND_PREPARE: u8 = 0x01;
@@ -154,7 +123,6 @@ const KIND_TRACES: u8 = 0x08;
 
 // Response frame kinds (>= 0x80).
 const KIND_PREPARED: u8 = 0x81;
-const KIND_ROWS: u8 = 0x82;
 const KIND_SCORED: u8 = 0x83;
 const KIND_STATS_REPLY: u8 = 0x84;
 const KIND_SHUTDOWN_ACK: u8 = 0x85;
@@ -175,8 +143,8 @@ pub enum ProtoError {
     Eof,
     /// The stream ended inside a frame, or a payload field overran it.
     Truncated,
-    /// The length prefix exceeds [`MAX_FRAME_LEN`] (or is too short to
-    /// hold the version and kind bytes).
+    /// The length prefix exceeds [`MAX_FRAME_LEN`] or is shorter than
+    /// [`HEADER_LEN`].
     BadLength(u32),
     /// The frame's version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
@@ -296,8 +264,7 @@ impl From<&ServerError> for ErrorCode {
 }
 
 /// A client-to-server frame. Every request that touches serving state
-/// names the tenant (namespace) it runs in; version-3 peers, which
-/// predate the field, are decoded into [`crate::tenant::DEFAULT_TENANT`].
+/// names the tenant (namespace) it runs in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Parse → bind → optimize `sql` into the tenant's plan cache
@@ -331,11 +298,10 @@ pub enum Request {
     /// Fetch the unified metric registry as Prometheus-style text
     /// exposition: one tenant's (labeled) when `tenant` names it, the
     /// exactly-merged cross-tenant aggregate when `tenant` is empty.
-    /// Version 5+.
     Metrics { tenant: String },
     /// Fetch the `limit` most recent slow-query traces, newest first:
     /// one tenant's slow ring, or every tenant's interleaved in capture
-    /// order when `tenant` is empty. Version 5+.
+    /// order when `tenant` is empty.
     Traces { tenant: String, limit: u32 },
     /// Ask the server to stop accepting connections and exit.
     Shutdown,
@@ -349,21 +315,12 @@ pub enum Response {
         cache_hit: bool,
         prepare_micros: u64,
     },
-    /// Reply to [`Request::Query`]: the materialized result table.
-    /// Shared (`Arc`) so the server can frame a cached result without
-    /// deep-copying it per connection. ≤v5 peers always get this; v6
-    /// peers get the same rows streamed as [`Response::RowsChunk`]s.
-    Rows {
-        cache_hit: bool,
-        total_micros: u64,
-        table: Arc<Table>,
-    },
-    /// One bounded slice of a streamed `Rows` result (v6+). Every chunk
-    /// carries the schema, so a zero-row result still round-trips its
-    /// shape; the client concatenates chunks until [`Response::RowsEnd`].
+    /// One bounded slice of the result of a [`Request::Query`] or
+    /// [`Request::QueryParams`]. Every chunk carries the schema, so a
+    /// zero-row result still round-trips its shape; the client
+    /// concatenates chunks until [`Response::RowsEnd`].
     RowsChunk { table: Arc<Table> },
-    /// Terminates a streamed `Rows` result (v6+), carrying what the
-    /// monolithic frame's header would have: the cache verdict, the
+    /// Terminates a streamed query result: the cache verdict, the
     /// server-side latency, and the total row count (which must equal
     /// the sum of the chunks — the client checks).
     RowsEnd {
@@ -401,18 +358,6 @@ impl PartialEq for Response {
                     prepare_micros: d,
                 },
             ) => a == c && b == d,
-            (
-                Rows {
-                    cache_hit: a,
-                    total_micros: b,
-                    table: t1,
-                },
-                Rows {
-                    cache_hit: c,
-                    total_micros: d,
-                    table: t2,
-                },
-            ) => a == c && b == d && t1 == t2,
             (RowsChunk { table: t1 }, RowsChunk { table: t2 }) => t1 == t2,
             (
                 RowsEnd {
@@ -475,10 +420,9 @@ pub struct WireStats {
     pub admitted: u64,
     pub rejected_overloaded: u64,
     pub rejected_deadline: u64,
-    /// Recent-window latency percentiles in microseconds (version 4+;
-    /// zero when talking to or decoding from a v3 peer). Scoped like the
-    /// rest of the frame: one tenant's window, or the merged window for
-    /// an aggregate `Stats` request.
+    /// Recent-window latency percentiles in microseconds. Scoped like
+    /// the rest of the frame: one tenant's window, or the merged window
+    /// for an aggregate `Stats` request.
     pub latency_p50_micros: u64,
     pub latency_p95_micros: u64,
     pub latency_p99_micros: u64,
@@ -730,81 +674,67 @@ fn decode_table(r: &mut Reader<'_>) -> Result<Table, ProtoError> {
 // ---------------------------------------------------------------------
 // Frame encode/decode.
 
-/// Assemble a full frame: length prefix, version, kind, request id
-/// (version ≥ 6 only — earlier headers have no id field), payload. A
-/// body beyond `u32` saturates the prefix rather than silently wrapping
-/// — the receiver then rejects it as `BadLength` instead of desyncing;
-/// use [`Response::encode_checked`] to catch oversize before sending.
+/// Assemble a full frame: length prefix, the [`HEADER_LEN`] header
+/// bytes, payload. A body beyond `u32` saturates the prefix rather than
+/// silently wrapping — the receiver then rejects it as `BadLength`
+/// instead of desyncing.
 fn frame(version: u8, kind: u8, request_id: u32, payload: &[u8]) -> Vec<u8> {
-    let id_bytes = if version >= 6 { 4 } else { 0 };
-    let len = u32::try_from(payload.len() + 2 + id_bytes).unwrap_or(u32::MAX);
-    let mut out = Vec::with_capacity(payload.len() + 6 + id_bytes);
+    let len = u32::try_from(HEADER_LEN + payload.len()).unwrap_or(u32::MAX);
+    let mut out = Vec::with_capacity(4 + HEADER_LEN + payload.len());
     put_u32(&mut out, len);
     out.push(version);
     out.push(kind);
-    if version >= 6 {
-        put_u32(&mut out, request_id);
-    }
+    put_u32(&mut out, request_id);
     out.extend_from_slice(payload);
     out
 }
 
-/// Validate the version byte and return `(version, kind, request_id,
-/// payload)` of a frame body (everything after the length prefix). Any
-/// version in [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`] is
-/// accepted; the payload decoders branch on it. Pre-v6 headers carry no
-/// id field and report id `0`.
-fn split_body(body: &[u8]) -> Result<(u8, u8, u32, &[u8]), ProtoError> {
-    if body.len() < 2 {
+/// Split a frame body (everything after the length prefix) into `(kind,
+/// request_id, payload)`, rejecting any version but [`PROTOCOL_VERSION`].
+fn split_body(body: &[u8]) -> Result<(u8, u32, &[u8]), ProtoError> {
+    if body.len() < HEADER_LEN {
         return Err(ProtoError::Truncated);
     }
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&body[0]) {
+    if body[0] != PROTOCOL_VERSION {
         return Err(ProtoError::BadVersion(body[0]));
     }
-    let (version, kind) = (body[0], body[1]);
-    if version >= 6 {
-        if body.len() < 6 {
-            return Err(ProtoError::Truncated);
-        }
-        let id = u32::from_le_bytes(body[2..6].try_into().unwrap());
-        Ok((version, kind, id, &body[6..]))
-    } else {
-        Ok((version, kind, 0, &body[2..]))
-    }
+    let id = u32::from_le_bytes(body[2..HEADER_LEN].try_into().unwrap());
+    Ok((body[1], id, &body[HEADER_LEN..]))
+}
+
+fn put_deadline(out: &mut Vec<u8>, deadline: Option<Duration>) {
+    // 0 = no deadline; a zero deadline is sent as 1 µs.
+    put_u64(out, deadline.map_or(0, |d| (d.as_micros() as u64).max(1)));
+}
+
+fn decode_deadline(r: &mut Reader<'_>) -> Result<Option<Duration>, ProtoError> {
+    let micros = r.u64()?;
+    Ok((micros > 0).then(|| Duration::from_micros(micros)))
 }
 
 impl Request {
-    /// Encode to a complete wire frame (length prefix included), always
-    /// at [`PROTOCOL_VERSION`] with request id `0` (the serial-client
-    /// convention; pipelined clients pass real ids via
-    /// [`Request::encode_with_id`]).
+    /// Encode to a complete wire frame (length prefix included) with
+    /// request id `0`.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for_version(PROTOCOL_VERSION, 0)
+        self.encode_with_id(0)
     }
 
-    /// Encode at [`PROTOCOL_VERSION`] carrying `request_id`, so the
-    /// out-of-order reply stream can be matched back to this request.
+    /// Encode carrying `request_id`, so the out-of-order reply stream
+    /// can be matched back to this request.
     pub fn encode_with_id(&self, request_id: u32) -> Vec<u8> {
         self.encode_for_version(PROTOCOL_VERSION, request_id)
     }
 
-    /// Encode exactly as a peer of `version` would: v3 frames omit the
-    /// tenant fields entirely (the tenant is *dropped*, not defaulted —
-    /// a v3 peer cannot name one), pre-v6 headers omit the request id.
-    /// `version` is clamped into the supported range. Kinds a version
-    /// does not define (`Metrics`/`Traces` below v5) still encode; the
-    /// receiving decoder rejects them as `BadKind`, which is precisely
-    /// how compat tests exercise that path.
+    /// [`Request::encode_with_id`] with `version` written verbatim into
+    /// the header. The layout is the same for every version byte; only
+    /// tests pass anything but [`PROTOCOL_VERSION`], to forge a frame
+    /// from a peer the server does not speak.
     pub fn encode_for_version(&self, version: u8, request_id: u32) -> Vec<u8> {
-        let version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        let tenanted = version >= 4;
         let mut payload = Vec::new();
         let kind = match self {
             Request::Prepare { sql, tenant } => {
                 put_string(&mut payload, sql);
-                if tenanted {
-                    put_string(&mut payload, tenant);
-                }
+                put_string(&mut payload, tenant);
                 KIND_PREPARE
             }
             Request::Query {
@@ -813,12 +743,8 @@ impl Request {
                 deadline,
             } => {
                 put_string(&mut payload, sql);
-                if tenanted {
-                    put_string(&mut payload, tenant);
-                }
-                // 0 = no deadline; a zero deadline is sent as 1 µs.
-                let micros = deadline.map(|d| (d.as_micros() as u64).max(1)).unwrap_or(0);
-                put_u64(&mut payload, micros);
+                put_string(&mut payload, tenant);
+                put_deadline(&mut payload, *deadline);
                 KIND_QUERY
             }
             Request::QueryParams {
@@ -828,29 +754,22 @@ impl Request {
                 deadline,
             } => {
                 put_string(&mut payload, template);
-                if tenanted {
-                    put_string(&mut payload, tenant);
-                }
+                put_string(&mut payload, tenant);
                 put_u32(&mut payload, params.len() as u32);
                 for p in params {
                     put_value(&mut payload, p);
                 }
-                let micros = deadline.map(|d| (d.as_micros() as u64).max(1)).unwrap_or(0);
-                put_u64(&mut payload, micros);
+                put_deadline(&mut payload, *deadline);
                 KIND_QUERY_PARAMS
             }
             Request::Score { model, tenant, row } => {
                 put_string(&mut payload, model);
-                if tenanted {
-                    put_string(&mut payload, tenant);
-                }
+                put_string(&mut payload, tenant);
                 put_f64_vec(&mut payload, row);
                 KIND_SCORE
             }
             Request::Stats { tenant } => {
-                if tenanted {
-                    put_string(&mut payload, tenant);
-                }
+                put_string(&mut payload, tenant);
                 KIND_STATS
             }
             Request::Metrics { tenant } => {
@@ -867,76 +786,53 @@ impl Request {
         frame(version, kind, request_id, &payload)
     }
 
-    /// Decode a frame body (version + kind + payload, no length prefix).
+    /// Decode a frame body (header + payload, no length prefix).
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
         Request::decode_framed(body).map(|(req, _, _)| req)
     }
 
-    /// [`Request::decode`], also returning the frame's version so the
-    /// responder can reply in kind (a v3 peer must get v3 bytes back).
-    pub fn decode_versioned(body: &[u8]) -> Result<(Request, u8), ProtoError> {
-        Request::decode_framed(body).map(|(req, version, _)| (req, version))
-    }
-
-    /// Full header decode: the request, the frame's version, and its
-    /// request id (`0` for pre-v6 frames, which carry no id field).
+    /// Full header decode: the request, the frame's version (always
+    /// [`PROTOCOL_VERSION`]: anything else is an error), and its
+    /// request id.
     pub fn decode_framed(body: &[u8]) -> Result<(Request, u8, u32), ProtoError> {
-        let (version, kind, request_id, payload) = split_body(body)?;
+        let (kind, request_id, payload) = split_body(body)?;
         let mut r = Reader::new(payload);
-        // Version 3 frames carry no tenant anywhere: map them to the
-        // default tenant (for Stats too — in a v3 world the default
-        // tenant *was* the whole server).
-        let v3 = || crate::tenant::DEFAULT_TENANT.to_string();
         let req = match kind {
-            KIND_PREPARE => {
-                let sql = r.string()?;
-                let tenant = if version >= 4 { r.string()? } else { v3() };
-                Request::Prepare { sql, tenant }
-            }
-            KIND_QUERY => {
-                let sql = r.string()?;
-                let tenant = if version >= 4 { r.string()? } else { v3() };
-                let micros = r.u64()?;
-                Request::Query {
-                    sql,
-                    tenant,
-                    deadline: (micros > 0).then(|| Duration::from_micros(micros)),
-                }
-            }
+            KIND_PREPARE => Request::Prepare {
+                sql: r.string()?,
+                tenant: r.string()?,
+            },
+            KIND_QUERY => Request::Query {
+                sql: r.string()?,
+                tenant: r.string()?,
+                deadline: decode_deadline(&mut r)?,
+            },
             KIND_QUERY_PARAMS => {
                 let template = r.string()?;
-                let tenant = if version >= 4 { r.string()? } else { v3() };
+                let tenant = r.string()?;
                 let n = r.count(2)?; // tag + ≥ 1 payload byte per value
                 let params = (0..n)
                     .map(|_| decode_value(&mut r))
                     .collect::<Result<Vec<_>, _>>()?;
-                let micros = r.u64()?;
                 Request::QueryParams {
                     template,
                     tenant,
                     params,
-                    deadline: (micros > 0).then(|| Duration::from_micros(micros)),
+                    deadline: decode_deadline(&mut r)?,
                 }
             }
-            KIND_SCORE => {
-                let model = r.string()?;
-                let tenant = if version >= 4 { r.string()? } else { v3() };
-                Request::Score {
-                    model,
-                    tenant,
-                    row: r.f64_vec()?,
-                }
-            }
-            KIND_STATS => Request::Stats {
-                tenant: if version >= 4 { r.string()? } else { v3() },
+            KIND_SCORE => Request::Score {
+                model: r.string()?,
+                tenant: r.string()?,
+                row: r.f64_vec()?,
             },
-            // The observability frames are v5-only: an older peer that
-            // sends these bytes has a kind its own protocol does not
-            // define, which is exactly what BadKind means.
-            KIND_METRICS if version >= 5 => Request::Metrics {
+            KIND_STATS => Request::Stats {
                 tenant: r.string()?,
             },
-            KIND_TRACES if version >= 5 => Request::Traces {
+            KIND_METRICS => Request::Metrics {
+                tenant: r.string()?,
+            },
+            KIND_TRACES => Request::Traces {
                 tenant: r.string()?,
                 limit: r.u32()?,
             },
@@ -944,32 +840,20 @@ impl Request {
             kind => return Err(ProtoError::BadKind(kind)),
         };
         r.finish()?;
-        Ok((req, version, request_id))
+        Ok((req, PROTOCOL_VERSION, request_id))
     }
 }
 
 impl Response {
-    /// Encode to a complete wire frame (length prefix included) at
-    /// [`PROTOCOL_VERSION`] with request id `0`.
+    /// Encode to a complete wire frame (length prefix included) with
+    /// request id `0`.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for_version(PROTOCOL_VERSION)
+        self.encode_with_id(0)
     }
 
-    /// Encode for a specific peer version: the server answers each
-    /// request in the version it arrived in, so v3 clients get v3
-    /// bytes (same layouts, minus the v4-only trailing `Stats`
-    /// counters). `version` is clamped into the supported range. The
-    /// request id is `0`; replies to pipelined requests go through
-    /// [`Response::encode_framed`].
-    pub fn encode_for_version(&self, version: u8) -> Vec<u8> {
-        self.encode_framed(version, 0)
-    }
-
-    /// [`Response::encode_for_version`] carrying `request_id`, echoing
-    /// the id of the request this frame answers (dropped from the
-    /// header below v6).
-    pub fn encode_framed(&self, version: u8, request_id: u32) -> Vec<u8> {
-        let version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
+    /// Encode carrying `request_id`, echoing the id of the request this
+    /// frame answers.
+    pub fn encode_with_id(&self, request_id: u32) -> Vec<u8> {
         let mut payload = Vec::new();
         let kind = match self {
             Response::Prepared {
@@ -979,16 +863,6 @@ impl Response {
                 payload.push(*cache_hit as u8);
                 put_u64(&mut payload, *prepare_micros);
                 KIND_PREPARED
-            }
-            Response::Rows {
-                cache_hit,
-                total_micros,
-                table,
-            } => {
-                payload.push(*cache_hit as u8);
-                put_u64(&mut payload, *total_micros);
-                encode_table(&mut payload, table);
-                KIND_ROWS
             }
             Response::RowsChunk { table } => {
                 encode_table(&mut payload, table);
@@ -1027,13 +901,11 @@ impl Response {
                     s.admitted,
                     s.rejected_overloaded,
                     s.rejected_deadline,
+                    s.latency_p50_micros,
+                    s.latency_p95_micros,
+                    s.latency_p99_micros,
                 ] {
                     put_u64(&mut payload, v);
-                }
-                if version >= 4 {
-                    put_u64(&mut payload, s.latency_p50_micros);
-                    put_u64(&mut payload, s.latency_p95_micros);
-                    put_u64(&mut payload, s.latency_p99_micros);
                 }
                 KIND_STATS_REPLY
             }
@@ -1066,71 +938,56 @@ impl Response {
                 KIND_ERROR
             }
         };
-        frame(version, kind, request_id, &payload)
+        frame(PROTOCOL_VERSION, kind, request_id, &payload)
     }
 
-    /// Decode a frame body (version + kind + payload, no length prefix).
+    /// Decode a frame body (header + payload, no length prefix).
     pub fn decode(body: &[u8]) -> Result<Response, ProtoError> {
         Response::decode_framed(body).map(|(resp, _, _)| resp)
     }
 
-    /// Full header decode: the response, the frame's version, and the
-    /// request id it answers (`0` for pre-v6 frames).
+    /// Full header decode: the response, the frame's version (always
+    /// [`PROTOCOL_VERSION`]: anything else is an error), and the request
+    /// id it answers.
     pub fn decode_framed(body: &[u8]) -> Result<(Response, u8, u32), ProtoError> {
-        let (version, kind, request_id, payload) = split_body(body)?;
+        let (kind, request_id, payload) = split_body(body)?;
         let mut r = Reader::new(payload);
         let resp = match kind {
             KIND_PREPARED => Response::Prepared {
                 cache_hit: decode_bool(r.u8()?)?,
                 prepare_micros: r.u64()?,
             },
-            KIND_ROWS => Response::Rows {
-                cache_hit: decode_bool(r.u8()?)?,
-                total_micros: r.u64()?,
+            KIND_ROWS_CHUNK => Response::RowsChunk {
                 table: Arc::new(decode_table(&mut r)?),
             },
-            // The streaming kinds don't exist below v6: a pre-v6 peer's
-            // decoder would reject these bytes as unknown, so ours must
-            // too when the frame claims an older version.
-            KIND_ROWS_CHUNK if version >= 6 => Response::RowsChunk {
-                table: Arc::new(decode_table(&mut r)?),
-            },
-            KIND_ROWS_END if version >= 6 => Response::RowsEnd {
+            KIND_ROWS_END => Response::RowsEnd {
                 cache_hit: decode_bool(r.u8()?)?,
                 total_micros: r.u64()?,
                 total_rows: r.u64()?,
             },
             KIND_SCORED => Response::Score { value: r.f64()? },
-            KIND_STATS_REPLY => {
-                let mut stats = WireStats {
-                    queries: r.u64()?,
-                    errors: r.u64()?,
-                    rows: r.u64()?,
-                    plan_hits: r.u64()?,
-                    plan_misses: r.u64()?,
-                    preparations: r.u64()?,
-                    invalidations: r.u64()?,
-                    normalized: r.u64()?,
-                    template_hits: r.u64()?,
-                    result_hits: r.u64()?,
-                    result_misses: r.u64()?,
-                    result_invalidations: r.u64()?,
-                    batch_requests: r.u64()?,
-                    batches: r.u64()?,
-                    admitted: r.u64()?,
-                    rejected_overloaded: r.u64()?,
-                    rejected_deadline: r.u64()?,
-                    latency_p50_micros: 0,
-                    latency_p95_micros: 0,
-                    latency_p99_micros: 0,
-                };
-                if version >= 4 {
-                    stats.latency_p50_micros = r.u64()?;
-                    stats.latency_p95_micros = r.u64()?;
-                    stats.latency_p99_micros = r.u64()?;
-                }
-                Response::Stats(stats)
-            }
+            KIND_STATS_REPLY => Response::Stats(WireStats {
+                queries: r.u64()?,
+                errors: r.u64()?,
+                rows: r.u64()?,
+                plan_hits: r.u64()?,
+                plan_misses: r.u64()?,
+                preparations: r.u64()?,
+                invalidations: r.u64()?,
+                normalized: r.u64()?,
+                template_hits: r.u64()?,
+                result_hits: r.u64()?,
+                result_misses: r.u64()?,
+                result_invalidations: r.u64()?,
+                batch_requests: r.u64()?,
+                batches: r.u64()?,
+                admitted: r.u64()?,
+                rejected_overloaded: r.u64()?,
+                rejected_deadline: r.u64()?,
+                latency_p50_micros: r.u64()?,
+                latency_p95_micros: r.u64()?,
+                latency_p99_micros: r.u64()?,
+            }),
             KIND_METRICS_REPLY => Response::Metrics { text: r.string()? },
             KIND_TRACES_REPLY => {
                 // Minimum bytes per trace: two string lengths, seq,
@@ -1154,7 +1011,7 @@ impl Response {
             kind => return Err(ProtoError::BadKind(kind)),
         };
         r.finish()?;
-        Ok((resp, version, request_id))
+        Ok((resp, PROTOCOL_VERSION, request_id))
     }
 
     /// Build the error frame for a [`ServerError`]. The message is the
@@ -1167,30 +1024,13 @@ impl Response {
         }
     }
 
-    /// [`Response::encode_for_version`], but a frame beyond
-    /// [`MAX_FRAME_LEN`] — a result table too large for the protocol —
-    /// comes back as `Err(BadLength)` instead of a frame the receiver
-    /// would reject.
-    pub fn encode_checked(&self, version: u8) -> Result<Vec<u8>, ProtoError> {
-        Self::check_len(self.encode_for_version(version))
-    }
-
-    /// [`Response::encode_framed`] with the same oversize check as
-    /// [`Response::encode_checked`].
-    pub fn encode_framed_checked(
-        &self,
-        version: u8,
-        request_id: u32,
-    ) -> Result<Vec<u8>, ProtoError> {
-        Self::check_len(self.encode_framed(version, request_id))
-    }
-
     /// Build one `RowsChunk` frame for rows `offset..offset + len` of a
     /// (possibly shared) result table, encoding the range straight from
     /// the original columns — no sub-table is materialized, so a cached
     /// `Arc<Table>` streams to any number of connections without a
-    /// copy. Errors on out-of-range or a chunk that overflows
-    /// [`MAX_FRAME_LEN`] (shrink the chunk).
+    /// copy. `version` is written verbatim (the server passes
+    /// [`PROTOCOL_VERSION`]). Errors on out-of-range or a chunk that
+    /// overflows [`MAX_FRAME_LEN`] (shrink the chunk).
     pub fn rows_chunk_frame(
         version: u8,
         request_id: u32,
@@ -1198,10 +1038,6 @@ impl Response {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ProtoError> {
-        let version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        if version < 6 {
-            return Err(ProtoError::BadKind(KIND_ROWS_CHUNK));
-        }
         if offset.saturating_add(len) > table.num_rows() {
             return Err(ProtoError::Malformed(format!(
                 "chunk {offset}..{} out of range for {} rows",
@@ -1211,17 +1047,13 @@ impl Response {
         }
         let mut payload = Vec::new();
         encode_table_range(&mut payload, table, offset, len);
-        Self::check_len(frame(version, KIND_ROWS_CHUNK, request_id, &payload))
-    }
-
-    fn check_len(wire: Vec<u8>) -> Result<Vec<u8>, ProtoError> {
-        let body_len = wire.len() - 4;
+        let body_len = HEADER_LEN + payload.len();
         if body_len > MAX_FRAME_LEN as usize {
             return Err(ProtoError::BadLength(
                 u32::try_from(body_len).unwrap_or(u32::MAX),
             ));
         }
-        Ok(wire)
+        Ok(frame(version, KIND_ROWS_CHUNK, request_id, &payload))
     }
 }
 
@@ -1285,7 +1117,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
         }
     }
     let len = u32::from_le_bytes(len_buf);
-    if !(2..=MAX_FRAME_LEN).contains(&len) {
+    if !(HEADER_LEN as u32..=MAX_FRAME_LEN).contains(&len) {
         return Err(ProtoError::BadLength(len));
     }
     let mut body = vec![0u8; len as usize];
@@ -1326,7 +1158,7 @@ mod tests {
 
     #[test]
     fn score_frame_len_is_the_encoded_length() {
-        let frame = Response::Score { value: -1.5e300 }.encode_framed(PROTOCOL_VERSION, u32::MAX);
+        let frame = Response::Score { value: -1.5e300 }.encode_with_id(u32::MAX);
         assert_eq!(frame.len(), SCORE_FRAME_LEN);
     }
 
@@ -1360,101 +1192,6 @@ mod tests {
         roundtrip_request(Request::Shutdown);
     }
 
-    /// Hand-encode version-3 frames (no tenant fields anywhere) and
-    /// check they decode into the default tenant — the backward
-    /// compatibility contract for pre-tenancy clients.
-    #[test]
-    fn v3_requests_decode_into_the_default_tenant() {
-        let v3_frame = |kind: u8, payload: &[u8]| frame(3, kind, 0, payload);
-
-        let mut query = Vec::new();
-        put_string(&mut query, "SELECT 1");
-        put_u64(&mut query, 250_000);
-        let wire = v3_frame(KIND_QUERY, &query);
-        let body = read_frame(&mut Cursor::new(&wire)).unwrap();
-        let (req, version) = Request::decode_versioned(&body).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(
-            req,
-            Request::Query {
-                sql: "SELECT 1".into(),
-                tenant: crate::tenant::DEFAULT_TENANT.into(),
-                deadline: Some(Duration::from_micros(250_000)),
-            }
-        );
-
-        let mut params = Vec::new();
-        put_string(&mut params, "SELECT a FROM t WHERE a > ?");
-        put_u32(&mut params, 1);
-        put_value(&mut params, &Value::Int64(30));
-        put_u64(&mut params, 0);
-        let body = read_frame(&mut Cursor::new(&v3_frame(KIND_QUERY_PARAMS, &params))).unwrap();
-        let (req, _) = Request::decode_versioned(&body).unwrap();
-        assert!(matches!(
-            req,
-            Request::QueryParams { tenant, .. } if tenant == crate::tenant::DEFAULT_TENANT
-        ));
-
-        // v3 Stats is an empty payload and means "the default tenant"
-        // (which, pre-tenancy, was the whole server).
-        let body = read_frame(&mut Cursor::new(&v3_frame(KIND_STATS, &[]))).unwrap();
-        let (req, _) = Request::decode_versioned(&body).unwrap();
-        assert_eq!(
-            req,
-            Request::Stats {
-                tenant: crate::tenant::DEFAULT_TENANT.into()
-            }
-        );
-
-        let mut score = Vec::new();
-        put_string(&mut score, "m");
-        put_f64_vec(&mut score, &[1.0, 2.0]);
-        let body = read_frame(&mut Cursor::new(&v3_frame(KIND_SCORE, &score))).unwrap();
-        let (req, _) = Request::decode_versioned(&body).unwrap();
-        assert!(matches!(
-            req,
-            Request::Score { tenant, .. } if tenant == crate::tenant::DEFAULT_TENANT
-        ));
-    }
-
-    /// A v3 `Stats` reply omits the v4 latency counters; the decoder
-    /// fills zeros. Encoding for v3 then re-decoding round-trips the v3
-    /// subset — exactly what a v3 client sees.
-    #[test]
-    fn stats_reply_downgrades_for_v3_peers() {
-        let full = WireStats {
-            queries: 7,
-            result_hits: 3,
-            latency_p50_micros: 111,
-            latency_p95_micros: 222,
-            latency_p99_micros: 333,
-            ..WireStats::default()
-        };
-        let v3_wire = Response::Stats(full).encode_for_version(3);
-        assert_eq!(v3_wire[4], 3, "reply carries the peer's version");
-        let body = read_frame(&mut Cursor::new(&v3_wire)).unwrap();
-        let Response::Stats(seen) = Response::decode(&body).unwrap() else {
-            panic!("not a stats frame");
-        };
-        assert_eq!(seen.queries, 7);
-        assert_eq!(seen.result_hits, 3);
-        assert_eq!(
-            (
-                seen.latency_p50_micros,
-                seen.latency_p95_micros,
-                seen.latency_p99_micros
-            ),
-            (0, 0, 0),
-            "v3 frames carry no latency counters"
-        );
-        // The v4 encoding keeps them.
-        let v4_body = read_frame(&mut Cursor::new(&Response::Stats(full).encode())).unwrap();
-        let Response::Stats(seen) = Response::decode(&v4_body).unwrap() else {
-            panic!("not a stats frame");
-        };
-        assert_eq!(seen, full);
-    }
-
     #[test]
     fn response_roundtrips() {
         let table = Table::try_new(
@@ -1473,10 +1210,13 @@ mod tests {
             ],
         )
         .unwrap();
-        roundtrip_response(Response::Rows {
+        roundtrip_response(Response::RowsChunk {
+            table: Arc::new(table),
+        });
+        roundtrip_response(Response::RowsEnd {
             cache_hit: true,
             total_micros: 1234,
-            table: Arc::new(table),
+            total_rows: 2,
         });
         roundtrip_response(Response::Prepared {
             cache_hit: false,
@@ -1565,69 +1305,31 @@ mod tests {
         roundtrip_response(Response::Traces { traces: Vec::new() });
     }
 
-    /// The observability kinds don't exist below version 5: the decoder
-    /// must reject them as unknown kinds, exactly as a genuine v4 peer's
-    /// decoder would. `encode_for_version` builds the genuine pre-v6
-    /// frame (no request-id header bytes), so this exercises the real
-    /// v4/v3 wire image.
-    #[test]
-    fn observability_requests_are_v5_only() {
-        let wire = Request::Metrics {
-            tenant: String::new(),
-        }
-        .encode_for_version(4, 0);
-        let body = read_frame(&mut Cursor::new(&wire)).unwrap();
-        assert_eq!(Request::decode(&body), Err(ProtoError::BadKind(0x07)));
-        let wire = Request::Traces {
-            tenant: String::new(),
-            limit: 4,
-        }
-        .encode_for_version(3, 0);
-        let body = read_frame(&mut Cursor::new(&wire)).unwrap();
-        assert_eq!(Request::decode(&body), Err(ProtoError::BadKind(0x08)));
-    }
-
-    /// The streaming kinds don't exist below version 6: a frame claiming
-    /// v5 with kind 0x88/0x89 must be rejected the way a genuine v5
-    /// decoder would reject it — BadKind, never a misparse.
+    /// The streaming kinds belong to v6: a chunk or trailer whose header
+    /// claims an older version is `BadVersion`, never a misparse.
     #[test]
     fn streaming_replies_are_v6_only() {
-        let chunk = Response::RowsChunk {
-            table: Arc::new(
-                Table::try_new(
-                    Schema::from_pairs(&[("i", DataType::Int64)]).into_shared(),
-                    vec![Column::Int64(vec![1, 2])],
-                )
-                .unwrap(),
-            ),
-        };
-        let body = read_frame(&mut Cursor::new(&chunk.encode())).unwrap();
-        assert!(matches!(
-            Response::decode(&body),
-            Ok(Response::RowsChunk { .. })
-        ));
-        let v5_wire = chunk.encode_for_version(5);
-        let body = read_frame(&mut Cursor::new(&v5_wire)).unwrap();
-        assert_eq!(Response::decode(&body), Err(ProtoError::BadKind(0x88)));
-
-        let end = Response::RowsEnd {
+        let table = Table::try_new(
+            Schema::from_pairs(&[("i", DataType::Int64)]).into_shared(),
+            vec![Column::Int64(vec![1, 2])],
+        )
+        .unwrap();
+        let mut end = Response::RowsEnd {
             cache_hit: true,
             total_micros: 42,
             total_rows: 2,
-        };
-        let body = read_frame(&mut Cursor::new(&end.encode_for_version(5))).unwrap();
-        assert_eq!(Response::decode(&body), Err(ProtoError::BadKind(0x89)));
-        // `rows_chunk_frame` refuses to build pre-v6 streams outright.
-        let table = Table::try_new(
-            Schema::from_pairs(&[("i", DataType::Int64)]).into_shared(),
-            vec![Column::Int64(vec![1])],
-        )
-        .unwrap();
-        assert!(Response::rows_chunk_frame(5, 0, &table, 0, 1).is_err());
+        }
+        .encode();
+        end[4] = 5;
+        for wire in [Response::rows_chunk_frame(5, 0, &table, 0, 2).unwrap(), end] {
+            let body = read_frame(&mut Cursor::new(&wire)).unwrap();
+            assert_eq!(Response::decode(&body), Err(ProtoError::BadVersion(5)));
+        }
     }
 
-    /// v6 headers carry the request id right after the kind byte; pre-v6
-    /// headers have no id field at all, and both directions echo it.
+    /// The request id rides the header right after the kind byte, in
+    /// both directions; the same layout under another version byte is
+    /// rejected.
     #[test]
     fn request_ids_ride_the_v6_header_and_only_the_v6_header() {
         let req = Request::Stats {
@@ -1641,15 +1343,16 @@ mod tests {
         let (decoded, version, id) = Request::decode_framed(&body).unwrap();
         assert_eq!((decoded, version, id), (req.clone(), 6, 0xDEAD_BEEF));
 
-        // The same request at v5 is 4 bytes shorter and reports id 0.
         let v5_wire = req.encode_for_version(5, 0xDEAD_BEEF);
-        assert_eq!(v5_wire.len() + 4, wire.len());
+        assert_eq!(v5_wire[..4], wire[..4], "one layout for every version byte");
         let body = read_frame(&mut Cursor::new(&v5_wire)).unwrap();
-        let (_, version, id) = Request::decode_framed(&body).unwrap();
-        assert_eq!((version, id), (5, 0));
+        assert_eq!(
+            Request::decode_framed(&body),
+            Err(ProtoError::BadVersion(5))
+        );
 
         let resp = Response::Score { value: 1.5 };
-        let body = read_frame(&mut Cursor::new(&resp.encode_framed(PROTOCOL_VERSION, 7))).unwrap();
+        let body = read_frame(&mut Cursor::new(&resp.encode_with_id(7))).unwrap();
         let (decoded, version, id) = Response::decode_framed(&body).unwrap();
         assert_eq!((decoded, version, id), (resp, 6, 7));
     }
@@ -1716,6 +1419,20 @@ mod tests {
             read_frame(&mut Cursor::new(&wire)),
             Err(ProtoError::BadLength(MAX_FRAME_LEN + 1))
         );
+    }
+
+    /// `len` must at least cover the header: anything shorter is a bad
+    /// length, not a truncated read.
+    #[test]
+    fn lengths_shorter_than_the_header_are_rejected() {
+        for len in 0..HEADER_LEN as u32 {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[PROTOCOL_VERSION, 0x04, 0, 0, 0, 0]);
+            assert_eq!(
+                read_frame(&mut Cursor::new(&wire)),
+                Err(ProtoError::BadLength(len))
+            );
+        }
     }
 
     #[test]

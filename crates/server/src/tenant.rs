@@ -45,8 +45,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The namespace requests land in when they name no tenant — the one
-/// tenant that always exists. Protocol-v3 peers (which predate tenancy)
-/// are mapped here, as is every `ServerState` convenience method.
+/// tenant that always exists, and the one every `ServerState`
+/// convenience method serves.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Longest accepted tenant name.

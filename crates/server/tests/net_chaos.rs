@@ -1,12 +1,14 @@
 //! Chaos and fault injection against the readiness-polling reactor:
 //! mid-stream disconnects, slowloris partial frames, duplicate request
-//! ids, garbage framing, and deadlines expiring between chunks. After
+//! ids, garbage framing, stale protocol versions, and deadlines expiring
+//! between chunks. After
 //! every abuse the server must still accept new connections and serve
 //! them — asserted over the wire, via the `Stats` frame — with no
 //! leaked reactor registrations, executor threads, or in-flight budget.
 
 use raven_data::{Column, DataType, Schema, Table};
 use raven_datagen::{hospital, train};
+use raven_server::net::wire_stats;
 use raven_server::proto::{self, read_frame, write_frame, Request, Response};
 use raven_server::{
     NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerError, ServerState,
@@ -221,14 +223,13 @@ fn garbage_truncation_and_duplicate_ids_answer_typed_errors() {
         "framing can no longer be trusted: the server must close"
     );
 
-    // A structurally valid frame with a truncated payload → typed
+    // A frame whose header is cut short (length kept honest) → typed
     // Protocol error, then close.
     let mut s = TcpStream::connect(addr).unwrap();
     let mut wire = Request::Shutdown.encode_with_id(1);
-    wire.truncate(wire.len() - 1); // cut inside the (empty) payload…
+    wire.truncate(wire.len() - 1);
     let cut = wire.len() as u32 - 4;
-    wire[..4].copy_from_slice(&cut.to_le_bytes()); // …but keep the length honest
-                                                   // A truncated v6 header (id bytes cut short) cannot decode.
+    wire[..4].copy_from_slice(&cut.to_le_bytes());
     s.write_all(&wire).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let body = read_frame(&mut s).unwrap();
@@ -294,6 +295,60 @@ fn garbage_truncation_and_duplicate_ids_answer_typed_errors() {
     assert_eq!(healthy.query(HOSPITAL_SQL).unwrap().table, expected);
     let stats = healthy.stats().unwrap();
     assert!(stats.queries >= 3);
+    server.shutdown();
+}
+
+/// A peer speaking any protocol version but v6, or announcing a frame
+/// shorter than the header, gets exactly one typed `Protocol` error
+/// (v6 header, id 0) naming what was wrong, then the connection closes.
+/// Nothing it sent reaches admission, execution or the batcher.
+#[test]
+fn stale_versions_and_short_frames_get_one_typed_error_then_close() {
+    let state = hospital_state(100);
+    let server = spawn(state.clone(), small_net(2));
+    let addr = server.local_addr();
+    let before = wire_stats(&state.stats());
+
+    let one_error_then_close = |wire: &[u8], names: &str| {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(wire).unwrap();
+        let body = read_frame(&mut s).unwrap();
+        assert_eq!(body[0], proto::PROTOCOL_VERSION);
+        match Response::decode_framed(&body).unwrap() {
+            (Response::Error { code, message }, _, 0) => {
+                assert_eq!(code, raven_server::ErrorCode::Protocol);
+                assert!(message.contains(names), "{message}");
+            }
+            other => panic!("expected one Protocol error for id 0: {other:?}"),
+        }
+        assert!(read_frame(&mut s).is_err(), "the server must close");
+    };
+    let requests = [
+        Request::Query {
+            sql: HOSPITAL_SQL.into(),
+            tenant: "default".into(),
+            deadline: None,
+        },
+        Request::Score {
+            model: "duration_of_stay".into(),
+            tenant: "default".into(),
+            row: vec![1.0; 4],
+        },
+    ];
+    for version in [3u8, 4, 5, 7] {
+        for request in &requests {
+            let wire = request.encode_for_version(version, 9);
+            one_error_then_close(&wire, &format!("version {version}"));
+        }
+    }
+    for len in 1..proto::HEADER_LEN as u32 {
+        let mut wire = len.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[proto::PROTOCOL_VERSION, 0x04, 0, 0, 0, 0]);
+        one_error_then_close(&wire, &format!("bad frame length {len}"));
+    }
+
+    assert_eq!(wire_stats(&state.stats()), before);
     server.shutdown();
 }
 

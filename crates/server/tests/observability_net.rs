@@ -1,8 +1,8 @@
-//! Observability over the wire (protocol v5): the `Metrics` frame
-//! returns per-tenant and exactly-merged aggregate Prometheus text, the
-//! `Traces` frame returns slow-query span trees whose per-stage
-//! durations reconcile with the end-to-end latency, and a pre-v5 peer
-//! asking for either gets a typed protocol error, not a hang or a
+//! Observability over the wire: the `Metrics` frame returns per-tenant
+//! and exactly-merged aggregate Prometheus text, the `Traces` frame
+//! returns slow-query span trees whose per-stage durations reconcile
+//! with the end-to-end latency, and a peer asking for either under an
+//! older protocol version gets a typed protocol error, not a hang or a
 //! misparse.
 //!
 //! The acceptance assertion from the ISSUE lives here: a slow query
@@ -12,7 +12,7 @@
 use raven_data::{Column, DataType, Schema, Table};
 use raven_ml::featurize::Transform;
 use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel, Pipeline};
-use raven_server::proto::{self, read_frame, write_frame};
+use raven_server::proto::{read_frame, write_frame};
 use raven_server::{
     ErrorCode, NetConfig, RavenClient, RavenServer, Request, Response, ServerConfig, ServerState,
     Trace,
@@ -201,10 +201,10 @@ fn metrics_frames_serve_tenant_and_aggregate_views() {
     server.shutdown();
 }
 
-/// A pre-v5 peer sending the new observability kinds gets the same
-/// typed protocol error any unknown kind would produce — the server
-/// never tries to parse a payload the peer's version cannot have
-/// meant.
+/// A pre-v5 peer sending the observability kinds gets the typed
+/// protocol error every stale version gets — the server never tries to
+/// parse a payload the peer's version cannot have meant — and nothing
+/// it sent is counted or served.
 #[test]
 fn pre_v5_peers_cannot_reach_observability_kinds() {
     let state = Arc::new(ServerState::new(observability_config()));
@@ -222,19 +222,21 @@ fn pre_v5_peers_cannot_reach_observability_kinds() {
             limit: 4,
         },
     ] {
-        // A genuine v4-layout frame (no request-id header bytes), not a
-        // v6 frame with the version byte rewritten.
         let wire = request.encode_for_version(4, 0);
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         write_frame(&mut stream, &wire).unwrap();
         let reply = read_frame(&mut stream).unwrap();
         match Response::decode(&reply).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-            other => panic!("v4 peer reached a v5-only kind: {other:?}"),
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Protocol);
+                assert!(message.contains("version 4"), "{message}");
+            }
+            other => panic!("v4 peer reached an observability kind: {other:?}"),
         }
     }
 
-    // The same bytes at version 5 are served normally.
+    // The same requests at the current version are served normally,
+    // and see only the one query made here.
     let mut client = RavenClient::connect(addr).unwrap();
     client.query(SQL).unwrap();
     assert!(client
@@ -242,6 +244,5 @@ fn pre_v5_peers_cannot_reach_observability_kinds() {
         .unwrap()
         .contains("raven_queries_total 1"));
     assert_eq!(client.slow_queries(10).unwrap().len(), 1);
-    let _ = proto::PROTOCOL_VERSION; // the gate under test
     server.shutdown();
 }

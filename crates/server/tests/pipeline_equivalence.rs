@@ -1,15 +1,16 @@
-//! Differential equivalence: the pipelined v6 protocol against the
-//! serial pre-v6 protocol, over a live listener.
+//! Differential equivalence: results served over a live listener —
+//! serially and pipelined, streamed back as bounded `RowsChunk` frames —
+//! against an in-process oracle.
 //!
-//! The oracle is a serial client pinned to protocol v5 — one frame in
-//! flight, monolithic `Rows` replies, the exact wire behavior every
-//! peer got before pipelining existed. The candidate is the v6 path:
-//! interleaved pipelined requests whose results stream back as bounded
-//! `RowsChunk` frames. For every workload the reassembled tables must
-//! be identical to the oracle's, request/reply counts must reconcile,
-//! and the server's own counters must agree with what the clients saw.
+//! The oracle is a twin `ServerState` built from the same seed and
+//! queried directly: no socket, framing or streaming in between. The
+//! candidates are a serial client (one request in flight) and a
+//! pipelined one (interleaved requests, out-of-order completion). For
+//! every workload the reassembled tables must be identical to the
+//! oracle's, request/reply counts must reconcile, and the server's own
+//! counters must agree with what the clients saw.
 
-use raven_data::Value;
+use raven_data::{Table, Value};
 use raven_datagen::{hospital, train};
 use raven_server::{
     NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState,
@@ -46,6 +47,18 @@ fn hospital_state(rows: usize) -> Arc<ServerState> {
     state
 }
 
+/// The tables the twin state answers in process for `PARAM_SQL` at each
+/// threshold.
+fn oracle(twin: &ServerState, thresholds: &[f64]) -> Vec<Table> {
+    thresholds
+        .iter()
+        .map(|&t| {
+            let result = twin.serve_with_params(PARAM_SQL, &[Value::Float64(t)], None);
+            result.unwrap().table.as_ref().clone()
+        })
+        .collect()
+}
+
 /// A listener with deliberately small chunks so streamed results span
 /// several `RowsChunk` frames even on modest tables.
 fn spawn(state: Arc<ServerState>, chunk_rows: usize) -> RavenServer {
@@ -65,44 +78,33 @@ fn spawn(state: Arc<ServerState>, chunk_rows: usize) -> RavenServer {
 }
 
 /// The tentpole differential: K parameterized queries with distinct
-/// results, run three ways — serial v5 oracle, serial v6 (streamed),
-/// and pipelined v6 (interleaved, out-of-order completion). All three
-/// must produce identical tables, and the reply-to-request matching
-/// must hold even though the pipelined replies interleave.
+/// results, run three ways — in process on the twin (the oracle), over
+/// the wire serially, and pipelined (interleaved, out-of-order
+/// completion). All three must produce identical tables, and the
+/// reply-to-request matching must hold even though the pipelined
+/// replies interleave.
 #[test]
-fn pipelined_results_match_the_serial_v5_oracle() {
+fn pipelined_results_match_the_in_process_oracle() {
     const K: usize = 12;
 
     let server = spawn(hospital_state(600), 7);
     let addr = server.local_addr();
     let thresholds: Vec<f64> = (0..K).map(|i| 3.0 + i as f64 * 0.5).collect();
-
-    // Oracle: the pre-pipelining protocol, one frame in flight.
-    let mut oracle_client = RavenClient::connect(addr).unwrap().at_version(5);
-    let oracle: Vec<_> = thresholds
-        .iter()
-        .map(|&t| {
-            let reply = oracle_client
-                .query_params(PARAM_SQL, vec![Value::Float64(t)], None)
-                .unwrap();
-            assert_eq!(reply.chunks, 0, "a v5 reply is a monolithic Rows frame");
-            reply.table
-        })
-        .collect();
+    let oracle = oracle(&hospital_state(600), &thresholds);
     // The workload is non-trivial and the thresholds genuinely
     // differentiate results, or the differential proves nothing.
     assert!(oracle[0].num_rows() > 0);
     assert!(oracle.windows(2).any(|w| w[0] != w[1]));
 
-    // Serial v6: same requests, streamed replies.
-    let mut serial_v6 = RavenClient::connect(addr).unwrap();
+    // Serial: one request in flight, streamed replies.
+    let mut serial = RavenClient::connect(addr).unwrap();
     for (i, &t) in thresholds.iter().enumerate() {
-        let reply = serial_v6
+        let reply = serial
             .query_params(PARAM_SQL, vec![Value::Float64(t)], None)
             .unwrap();
         assert_eq!(
             reply.table, oracle[i],
-            "streamed v6 result diverged from the v5 oracle at threshold {t}"
+            "serial result diverged from the oracle at threshold {t}"
         );
         let rows = reply.table.num_rows();
         assert_eq!(
@@ -112,7 +114,7 @@ fn pipelined_results_match_the_serial_v5_oracle() {
         );
     }
 
-    // Pipelined v6: all K in flight on one connection, replies in
+    // Pipelined: all K in flight on one connection, replies in
     // whatever order the pool finishes them.
     let mut pipelined = PipelinedClient::connect(addr).unwrap();
     let ids: Vec<u32> = thresholds
@@ -132,44 +134,17 @@ fn pipelined_results_match_the_serial_v5_oracle() {
         let reply = reply.unwrap();
         assert_eq!(
             reply.table, oracle[i],
-            "pipelined result diverged from the v5 oracle"
+            "pipelined result diverged from the oracle"
         );
-        assert!(reply.chunks >= 1, "v6 replies always stream");
+        assert!(reply.chunks >= 1, "replies always stream");
     }
 
     // The server's counters reconcile with what the clients saw:
-    // 3 × K queries, no errors, every admission accounted for.
+    // 2 × K queries, no errors, every admission accounted for.
     let stats = RavenClient::connect(addr).unwrap().stats().unwrap();
-    assert_eq!(stats.queries, (3 * K) as u64);
+    assert_eq!(stats.queries, (2 * K) as u64);
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.admitted, stats.queries);
-    server.shutdown();
-}
-
-/// The pre-v6 compat matrix over a live socket: v3, v4, and v5 peers on
-/// the same listener all get the same rows the v6 peer gets — older
-/// versions lose tenancy (v3) and streaming (all three), never
-/// correctness.
-#[test]
-fn every_supported_version_sees_identical_results() {
-    let server = spawn(hospital_state(400), 16);
-    let addr = server.local_addr();
-
-    let expected = RavenClient::connect(addr)
-        .unwrap()
-        .query(HOSPITAL_SQL)
-        .unwrap()
-        .table;
-    assert!(expected.num_rows() > 0);
-    for version in 3..=5u8 {
-        let mut client = RavenClient::connect(addr).unwrap().at_version(version);
-        let reply = client.query(HOSPITAL_SQL).unwrap();
-        assert_eq!(reply.chunks, 0, "pre-v6 replies never stream");
-        assert_eq!(
-            reply.table, expected,
-            "protocol v{version} diverged from v6"
-        );
-    }
     server.shutdown();
 }
 
@@ -239,17 +214,13 @@ fn empty_results_stream_a_schema_bearing_chunk() {
     let server = spawn(hospital_state(300), 8);
     let addr = server.local_addr();
     // A threshold beyond any prediction: zero rows pass.
-    let none = vec![Value::Float64(1.0e9)];
-
-    let mut oracle = RavenClient::connect(addr).unwrap().at_version(5);
-    let expected = oracle
-        .query_params(PARAM_SQL, none.clone(), None)
-        .unwrap()
-        .table;
+    let expected = oracle(&hospital_state(300), &[1.0e9]).remove(0);
     assert_eq!(expected.num_rows(), 0);
 
-    let mut v6 = RavenClient::connect(addr).unwrap();
-    let reply = v6.query_params(PARAM_SQL, none, None).unwrap();
+    let mut client = RavenClient::connect(addr).unwrap();
+    let reply = client
+        .query_params(PARAM_SQL, vec![Value::Float64(1.0e9)], None)
+        .unwrap();
     assert_eq!(reply.chunks, 1, "empty result = exactly one empty chunk");
     assert_eq!(reply.table, expected, "schema must survive the stream");
     server.shutdown();

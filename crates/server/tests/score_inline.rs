@@ -1,14 +1,14 @@
-//! Run-to-completion point scoring: the reactor answers a v6 `Score`
-//! frame on its own thread when the micro-batcher has measured the
+//! Run-to-completion point scoring: the reactor answers a `Score` frame
+//! on its own thread when the micro-batcher has measured the
 //! model's current version as cheap ([`ServerState::try_score_inline_in`]),
 //! and hands everything else to the executor pool exactly as before.
 //!
 //! Covered here: inline ≡ pooled ≡ direct scores, how the path is chosen
 //! (and re-chosen after a model update), counter reconciliation and
 //! byte-identical error frames under a concurrent mix, that a probe
-//! never creates a tenant, what an inline score's trace looks like, that
-//! pre-v6 peers are not re-routed, and that the reactor keeps serving
-//! other connections while an expensive model's score is in the pool.
+//! never creates a tenant, what an inline score's trace looks like, and
+//! that the reactor keeps serving other connections while an expensive
+//! model's score is in the pool.
 //!
 //! "Cheap" is a measurement, so a test that needs the inline path warms
 //! a model until the server takes it; models here are a handful of
@@ -20,7 +20,7 @@ use raven_ml::tree::TreeNode;
 use raven_ml::{
     DecisionTree, Estimator, FeatureStep, LinearKind, LinearModel, Mlp, Pipeline, RandomForest,
 };
-use raven_server::proto::{self, read_frame};
+use raven_server::proto::read_frame;
 use raven_server::{
     BatchConfig, BatcherStats, NetConfig, RavenClient, RavenServer, Request, Response,
     ServerConfig, ServerError, ServerState, DEFAULT_TENANT,
@@ -171,10 +171,8 @@ fn reconciles(stats: &BatcherStats) -> bool {
 }
 
 /// Write one request frame and read the reply frame's raw body.
-fn raw_roundtrip(stream: &mut TcpStream, request: &Request, version: u8, id: u32) -> Vec<u8> {
-    stream
-        .write_all(&request.encode_for_version(version, id))
-        .unwrap();
+fn raw_roundtrip(stream: &mut TcpStream, request: &Request, id: u32) -> Vec<u8> {
+    stream.write_all(&request.encode_with_id(id)).unwrap();
     read_frame(stream).unwrap()
 }
 
@@ -291,7 +289,7 @@ fn mixed_concurrent_scores_reconcile_and_errors_are_byte_identical() {
             Ok(value) => Response::Score { value },
             Err(e) => Response::from_error(&e),
         }
-        .encode_framed(proto::PROTOCOL_VERSION, id)[4..]
+        .encode_with_id(id)[4..]
             .to_vec()
     };
     let server = spawn(state.clone());
@@ -325,7 +323,7 @@ fn mixed_concurrent_scores_reconcile_and_errors_are_byte_identical() {
                     let mut want = expected[case].clone();
                     // Frame body: version, kind, then the echoed id.
                     want[2..6].copy_from_slice(&id.to_le_bytes());
-                    let got = raw_roundtrip(&mut stream, &cases[case], proto::PROTOCOL_VERSION, id);
+                    let got = raw_roundtrip(&mut stream, &cases[case], id);
                     assert_eq!(got, want, "case {case} round {round}");
                 }
             });
@@ -418,43 +416,6 @@ fn every_inline_score_is_traced_without_a_queue_span() {
     server.shutdown();
 }
 
-/// (f) A pre-v6 peer is not re-routed: its `Score` is served by the
-/// pool, byte-for-byte as before, even for a model v6 peers get inline.
-#[test]
-fn a_v5_peer_stays_on_the_pooled_path() {
-    let state = Arc::new(ServerState::new(ServerConfig::for_tests()));
-    state.store_model("m", linear(&[2.0], 0.5)).unwrap();
-    let server = spawn(state.clone());
-    let addr = server.local_addr();
-    let mut v6 = RavenClient::connect(addr).unwrap();
-    warm_until_inline(&mut v6, &state, "m", &[3.0]);
-
-    let before = batcher(&state);
-    let mut v5 = RavenClient::connect(addr).unwrap().at_version(5);
-    for _ in 0..10 {
-        assert_eq!(v5.score("m", vec![3.0]).unwrap(), 6.5);
-    }
-    let mut raw = TcpStream::connect(addr).unwrap();
-    let body = raw_roundtrip(&mut raw, &score_request("m", &[3.0]), 5, 0);
-    assert_eq!(
-        body,
-        Response::Score { value: 6.5 }.encode_for_version(5)[4..]
-    );
-    let body = raw_roundtrip(&mut raw, &score_request("m", &[3.0, 1.0]), 5, 0);
-    let pooled_err = state.score_row("m", vec![3.0, 1.0]).unwrap_err();
-    assert_eq!(
-        body,
-        Response::from_error(&pooled_err).encode_for_version(5)[4..]
-    );
-    let after = batcher(&state);
-    assert_eq!(after.inline, before.inline, "a v5 frame was scored inline");
-    assert_eq!(after.batched_rows, before.batched_rows + 11);
-    // The v6 connection next to it still is.
-    v6.score("m", vec![3.0]).unwrap();
-    assert_eq!(batcher(&state).inline, after.inline + 1);
-    server.shutdown();
-}
-
 /// The reactor runs nothing unbounded for a `Score`: while an
 /// over-budget model's score sits in the pool (held there by a long
 /// fixed flush window), a hot cached query on a second connection is
@@ -482,13 +443,8 @@ fn the_reactor_serves_cached_queries_while_an_expensive_score_is_pooled() {
     // Measure the forest (one full window), then put its next score in
     // flight without waiting for the reply.
     let mut scorer = TcpStream::connect(addr).unwrap();
-    raw_roundtrip(
-        &mut scorer,
-        &score_request("big", &[0.25]),
-        proto::PROTOCOL_VERSION,
-        0,
-    );
-    let request = score_request("big", &[0.25]).encode_for_version(proto::PROTOCOL_VERSION, 1);
+    raw_roundtrip(&mut scorer, &score_request("big", &[0.25]), 0);
+    let request = score_request("big", &[0.25]).encode_with_id(1);
     scorer.write_all(&request).unwrap();
     let sent = Instant::now();
     while batcher(&state).requests < 2 {

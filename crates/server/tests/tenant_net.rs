@@ -1,4 +1,4 @@
-//! Multi-tenant serving over the wire (protocol v4): cross-tenant
+//! Multi-tenant serving over the wire: cross-tenant
 //! invalidation isolation under TCP stress, per-tenant quotas bounding a
 //! noisy neighbor, and per-tenant / aggregate `Stats` frames.
 //!
@@ -159,7 +159,7 @@ fn tenant_a_swap_invalidates_zero_of_tenant_b() {
     // B stayed hot the whole time: exactly one execution, rest replays.
     assert_eq!(b.result_misses, 1, "{b:?}");
     assert_eq!(b.result_hits, b_total as u64 - 1);
-    // The v4 stats frame carries the tenant's latency percentiles.
+    // The stats frame carries the tenant's latency percentiles.
     assert!(a.latency_p99_micros >= a.latency_p50_micros);
     // And the aggregate frame sums both tenants.
     let aggregate = observer.stats_aggregate().unwrap();
@@ -277,7 +277,7 @@ fn quota_bounds_noisy_tenant_so_quiet_tenant_meets_deadlines() {
 }
 
 /// Tenants are minted over the wire on first use, bounded by
-/// `max_tenants`, and invalid names are rejected typed — all through v4
+/// `max_tenants`, and invalid names are rejected typed — all through
 /// `Query` frames.
 #[test]
 fn wire_tenants_are_bounded_and_validated() {

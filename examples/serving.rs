@@ -16,13 +16,13 @@
 //!   explicitly via `query_params`);
 //! * multi-tenant namespaces: two tenants holding a model with the
 //!   *same name* but different parameters, each served its own results
-//!   over the same socket (`RavenClient::for_tenant`, protocol v4), with
+//!   over the same socket (`RavenClient::for_tenant`), with
 //!   a model swap in one tenant invalidating nothing in the other;
 //! * deterministic result caching: an exact repeat (same plan, same
 //!   constants, same model/table versions) skips execution entirely, and
 //!   a model update invalidates the memoized rows;
 //! * observability over the wire: Prometheus-style metrics and the
-//!   slow-query log (protocol v5 `Metrics` / `Traces` frames), with the
+//!   slow-query log (the `Metrics` / `Traces` frames), with the
 //!   slowest request's per-stage span-tree breakdown printed the way an
 //!   operator would read it during an incident.
 
@@ -174,7 +174,7 @@ fn main() {
     );
 
     // 6. Multi-tenant serving over the same socket: two teams, one
-    // model *name*, different parameters — protocol v4 carries the
+    // model *name*, different parameters — every frame carries the
     // tenant, and each team reads only its own namespace.
     for (tenant, weight) in [("team-a", 1.0), ("team-b", 100.0)] {
         server
@@ -226,7 +226,7 @@ fn main() {
         a.result_invalidations, b.result_invalidations,
     );
 
-    // 7. Observability over the wire (protocol v5): the unified metrics
+    // 7. Observability over the wire: the unified metrics
     // registry as Prometheus-style text, and the slow-query log with its
     // per-stage latency breakdown.
     let metrics = observer.metrics_aggregate().expect("metrics frame");
