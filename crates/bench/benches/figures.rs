@@ -357,8 +357,13 @@ fn fig3_raven_vs_ort() {
             // paper's 0.5 s startup and real serialization.
             let ext_config = raven_runtime::external::ExternalConfig::default();
             let ext = time_mean_cold(1, || {
-                raven_runtime::external::score_out_of_process(&model, &batch, &ext_config)
-                    .expect("external")
+                raven_runtime::external::score_out_of_process(
+                    &model,
+                    &batch,
+                    &ext_config,
+                    &raven_core::relational::CancelToken::new(),
+                )
+                .expect("external")
             });
 
             println!(

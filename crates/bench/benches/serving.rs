@@ -48,7 +48,7 @@ use raven_bench::{full_scale, ms, time_mean};
 use raven_datagen::{hospital, train};
 use raven_server::{
     BatchConfig, NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState,
-    TenantQuotaConfig,
+    Statement, TenantQuotaConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,7 +107,7 @@ fn bench_plan_cache(rows: usize) {
             },
         );
         let mean = time_mean(runs, || server.execute(SQL).expect("query"));
-        let stats = server.plan_cache_stats();
+        let stats = server.default_tenant().plan_cache_stats();
         println!(
             "  {label:<9}  {:>8} ms/query  {:>8.1} q/s  ({} preparations for {} queries)",
             ms(mean),
@@ -157,7 +157,7 @@ fn bench_template_cache(rows: usize) {
             std::hint::black_box(server.execute(&sql_for(q)).expect("query"));
         }
         let elapsed = start.elapsed();
-        let stats = server.plan_cache_stats();
+        let stats = server.default_tenant().plan_cache_stats();
         hit_rates.push(stats.hit_rate());
         let snap = server.stats();
         println!(
@@ -198,7 +198,7 @@ fn bench_result_cache(rows: usize) {
     );
     warm_server.execute(SQL).expect("populate");
     let warm = time_mean(runs, || warm_server.execute(SQL).expect("query"));
-    let stats = warm_server.result_cache_stats();
+    let stats = warm_server.default_tenant().result_cache_stats();
     println!(
         "  execute path  {:>8} ms/query  {:>10.1} q/s",
         ms(cold),
@@ -231,7 +231,7 @@ fn bench_result_cache(rows: usize) {
             std::hint::black_box(server.execute(&sql).expect("query"));
         }
         let elapsed = start.elapsed();
-        let stats = server.result_cache_stats();
+        let stats = server.default_tenant().result_cache_stats();
         println!(
             "  {distinct:>3} distinct  {:>9.1} q/s  hit rate {:>5.1}%               ({} executions for {QUERIES} queries)",
             qps(QUERIES, elapsed),
@@ -311,15 +311,14 @@ fn bench_micro_batching(rows: usize) {
         let start = Instant::now();
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let server = server.clone();
+                let tenant = server.default_tenant().clone();
                 let columns = columns.clone();
                 std::thread::spawn(move || {
                     for r in 0..requests / clients {
                         let i = (c * 131 + r * 17) % data_rows;
                         let row: Vec<f64> = columns.iter().map(|col| col[i]).collect();
-                        std::hint::black_box(
-                            server.score_row("duration_of_stay", row).expect("score"),
-                        );
+                        let score = tenant.score("duration_of_stay", row, None);
+                        std::hint::black_box(score.expect("score"));
                     }
                 })
             })
@@ -328,7 +327,7 @@ fn bench_micro_batching(rows: usize) {
             h.join().expect("client");
         }
         let elapsed = start.elapsed();
-        let stats = server.batcher_stats();
+        let stats = server.default_tenant().batcher_stats();
         println!(
             "  max_batch={max_batch:<3}  {:>9.0} scores/s  \
              ({} scorer calls for {} requests, mean batch {:.1})",
@@ -389,15 +388,16 @@ fn bench_adaptive_flush(rows: usize) {
             .expect("store");
         // Warm both models so the cost EWMAs are seeded before any
         // deadline rides on their predictions.
+        let tenant = server.default_tenant();
         for i in 0..16 {
             let row: Vec<f64> = columns.iter().map(|c| c[i]).collect();
-            server.score_row("cheap", row.clone()).expect("warm");
-            server.score_row("expensive", row).expect("warm");
+            tenant.score("cheap", row.clone(), None).expect("warm");
+            tenant.score("expensive", row, None).expect("warm");
         }
         let start = Instant::now();
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let server = server.clone();
+                let tenant = tenant.clone();
                 let columns = columns.clone();
                 std::thread::spawn(move || {
                     let mut ok_latencies = Vec::new();
@@ -408,7 +408,7 @@ fn bench_adaptive_flush(rows: usize) {
                         let row: Vec<f64> = columns.iter().map(|col| col[i]).collect();
                         let model = if r % 2 == 0 { "cheap" } else { "expensive" };
                         let sent = Instant::now();
-                        match server.score_row_with_deadline(model, row, Some(deadline)) {
+                        match tenant.score(model, row, Some(deadline)) {
                             Ok(score) => {
                                 let waited = sent.elapsed();
                                 std::hint::black_box(score);
@@ -443,7 +443,7 @@ fn bench_adaptive_flush(rows: usize) {
         // outcome counters a moment to reconcile exactly.
         let settle = Instant::now() + Duration::from_secs(2);
         let stats = loop {
-            let s = server.batcher_stats();
+            let s = server.default_tenant().batcher_stats();
             if s.requests == s.batched_rows + s.bad_arity + s.shed + s.expired + s.failed
                 || Instant::now() >= settle
             {
@@ -651,11 +651,11 @@ fn bench_multi_tenant(rows: usize) {
     let start = Instant::now();
     let handles: Vec<_> = (0..TENANTS)
         .map(|t| {
-            let server = server.clone();
+            let tenant = server.tenant(&format!("tenant-{t}")).expect("tenant");
             std::thread::spawn(move || {
-                let tenant = format!("tenant-{t}");
                 for _ in 0..QUERIES_PER_TENANT {
-                    std::hint::black_box(server.execute_in(&tenant, SQL).expect("query"));
+                    let result = tenant.serve(Statement::Sql(SQL), None);
+                    std::hint::black_box(result.expect("query"));
                 }
             })
         })
@@ -676,11 +676,11 @@ fn bench_multi_tenant(rows: usize) {
     // 2. Invalidation isolation: swap tenant-0's model, count casualties.
     let data = hospital::generate(per_tenant_rows, 42);
     server
-        .store_model_in(
-            "tenant-0",
-            "duration_of_stay",
-            train::hospital_tree(&data, 5).expect("retrain"),
-        )
+        .tenant("tenant-0")
+        .and_then(|t| {
+            let retrained = train::hospital_tree(&data, 5).expect("retrain");
+            t.store_model("duration_of_stay", retrained)
+        })
         .expect("swap");
     let victims: u64 = (1..TENANTS)
         .map(|t| {
@@ -710,7 +710,7 @@ fn bench_multi_tenant(rows: usize) {
         let noise: Vec<_> = if noisy {
             (0..6)
                 .map(|thread| {
-                    let server = server.clone();
+                    let noisy = server.tenant("tenant-0").expect("tenant");
                     let stop = stop.clone();
                     std::thread::spawn(move || {
                         let mut i = 0usize;
@@ -724,7 +724,7 @@ fn bench_multi_tenant(rows: usize) {
                                 "> 6",
                                 &format!("> 6.{:04}", (thread * 1_000 + i) % 10_000),
                             );
-                            let _ = server.serve_in("tenant-0", &sql, None);
+                            let _ = noisy.serve(Statement::Sql(&sql), None);
                             i += 1;
                         }
                     })
@@ -738,8 +738,10 @@ fn bench_multi_tenant(rows: usize) {
             // the quiet tenant's measurement window opens.
             std::thread::sleep(Duration::from_millis(50));
         }
+        let quiet = server.tenant("tenant-1").expect("tenant");
         for _ in 0..QUERIES_PER_TENANT {
-            std::hint::black_box(server.execute_in("tenant-1", SQL).expect("quiet query"));
+            let result = quiet.serve(Statement::Sql(SQL), None);
+            std::hint::black_box(result.expect("quiet query"));
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for h in noise {

@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn optimized_plan_preserves_results() {
-        use raven_relational::{ExecOptions, Executor, Scorer};
+        use raven_relational::{CancelToken, ExecOptions, Executor, Scorer};
         // Execute original vs optimized and compare.
         struct PipelineScorer;
         impl Scorer for PipelineScorer {
@@ -426,6 +426,7 @@ mod tests {
                 &self,
                 node: &Plan,
                 batch: &raven_data::RecordBatch,
+                _cancel: &CancelToken,
             ) -> raven_relational::Result<Vec<f64>> {
                 match node {
                     Plan::Predict { model, .. } => model

@@ -69,39 +69,10 @@ impl CancelToken {
 /// runtimes (out-of-process) and containers into SQL Server's executor.
 pub trait Scorer: Send + Sync {
     /// Score `node` (a model operator) over `batch`, returning one
-    /// prediction per row.
-    fn score(&self, node: &Plan, batch: &RecordBatch) -> Result<Vec<f64>>;
-
-    /// Cancellation-aware scoring. The default checks the token once and
-    /// delegates to [`Scorer::score`]; scorers with internally long
-    /// invocations (simulated external runtimes, chunked REST calls)
-    /// override this to poll `cancel` between chunks.
-    fn score_cancellable(
-        &self,
-        node: &Plan,
-        batch: &RecordBatch,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f64>> {
-        cancel.check()?;
-        self.score(node, batch)
-    }
-
-    /// Tracing-aware scoring, threaded the same way cancellation is: the
-    /// default opens a `scorer-invocation` span (free when the recorder
-    /// is disabled) and delegates to [`Scorer::score_cancellable`], so
-    /// existing scorers keep compiling. Scorers that know more — the
-    /// runtime layer knows the model name and execution mode — override
-    /// this to label the span.
-    fn score_traced(
-        &self,
-        node: &Plan,
-        batch: &RecordBatch,
-        cancel: &CancelToken,
-        trace: &SpanRecorder,
-    ) -> Result<Vec<f64>> {
-        let _span = trace.span("scorer-invocation");
-        self.score_cancellable(node, batch, cancel)
-    }
+    /// prediction per row. The executor checks `cancel` before every
+    /// call; scorers with internally long invocations (simulated
+    /// external runtimes, chunked REST calls) poll it between chunks.
+    fn score(&self, node: &Plan, batch: &RecordBatch, cancel: &CancelToken) -> Result<Vec<f64>>;
 
     /// Whether the engine may split the input into morsels and call
     /// [`Scorer::score`] from multiple worker threads. Out-of-process
@@ -134,12 +105,25 @@ fn op_span_name(plan: &Plan) -> &'static str {
     }
 }
 
+/// The label of a model operator's `scorer-invocation` span: the model
+/// (or UDF) it scores.
+fn scorer_label(plan: &Plan) -> String {
+    match plan {
+        Plan::Predict { model, .. }
+        | Plan::TensorPredict { model, .. }
+        | Plan::KernelPredict { model, .. }
+        | Plan::ClusteredPredict { model, .. } => model.name.clone(),
+        Plan::Udf { name, .. } => name.clone(),
+        other => other.label(),
+    }
+}
+
 /// A scorer that rejects every model operator (pure-relational execution).
 #[derive(Debug, Default)]
 pub struct NoopScorer;
 
 impl Scorer for NoopScorer {
-    fn score(&self, node: &Plan, _batch: &RecordBatch) -> Result<Vec<f64>> {
+    fn score(&self, node: &Plan, _batch: &RecordBatch, _cancel: &CancelToken) -> Result<Vec<f64>> {
         Err(ExecError::NoScorer(node.label()))
     }
 }
@@ -211,32 +195,16 @@ impl SharedExecutor {
         }
     }
 
-    pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
-    }
-
-    pub fn options(&self) -> ExecOptions {
-        self.options
-    }
-
-    /// Execute a plan to a materialized table.
-    pub fn execute(&self, plan: &Plan) -> Result<Table> {
-        Executor::new(&self.catalog, self.scorer.as_ref(), self.options).execute(plan)
-    }
-
-    /// Execute a plan under a cancellation token: the executor polls the
-    /// token between operators and morsels and aborts with
+    /// Execute a (possibly parameterized) plan to a materialized table.
+    ///
+    /// Placeholders are substituted into a throwaway copy of the plan
+    /// ([`Plan::bind_parameters`] — arity and types validated there); the
+    /// cached template itself is never mutated, and an empty parameter
+    /// list over a parameter-free plan skips the copy. The executor polls
+    /// `cancel` between operators and morsels and aborts with
     /// [`ExecError::Cancelled`] once it fires (or its deadline passes).
-    pub fn execute_with(&self, plan: &Plan, cancel: &CancelToken) -> Result<Table> {
-        Executor::new(&self.catalog, self.scorer.as_ref(), self.options)
-            .with_cancel(cancel.clone())
-            .execute(plan)
-    }
-
-    /// [`SharedExecutor::execute_with_params`] plus a span recorder: when
-    /// the request is sampled, every operator and scorer invocation lands
-    /// in its span tree. A disabled recorder adds one branch per
-    /// operator.
+    /// With a live `trace`, every operator and scorer invocation lands in
+    /// its span tree; a disabled recorder adds one branch per operator.
     pub fn execute_traced(
         &self,
         plan: &Plan,
@@ -257,26 +225,6 @@ impl SharedExecutor {
             .bind_parameters(params)
             .map_err(|e| ExecError::Eval(e.to_string()))?;
         run(&bound)
-    }
-
-    /// Execute a prepared template plan with positional parameter values:
-    /// placeholders are substituted into a throwaway copy of the plan
-    /// ([`Plan::bind_parameters`] — arity and types validated there), the
-    /// cached template itself is never mutated. An empty parameter list
-    /// over a parameter-free plan skips the copy entirely.
-    pub fn execute_with_params(
-        &self,
-        plan: &Plan,
-        params: &[raven_data::Value],
-        cancel: &CancelToken,
-    ) -> Result<Table> {
-        if params.is_empty() && plan.parameter_count() == 0 {
-            return self.execute_with(plan, cancel);
-        }
-        let bound = plan
-            .bind_parameters(params)
-            .map_err(|e| ExecError::Eval(e.to_string()))?;
-        self.execute_with(&bound, cancel)
     }
 }
 
@@ -419,10 +367,14 @@ impl<'a> Executor<'a> {
             | Plan::Udf { input, output, .. } => {
                 let batch = self.exec(input)?;
                 let allow_parallel = self.scorer.parallelizable(plan);
+                // `morsel_map` checks the token before every morsel, so a
+                // cancelled request never reaches the scorer.
                 let scores = self.morsel_map(&batch, allow_parallel, |morsel| {
-                    let s = self
-                        .scorer
-                        .score_traced(plan, morsel, &self.cancel, &self.trace)?;
+                    // The label closure only runs when the recorder is live.
+                    let _span = self
+                        .trace
+                        .span_labeled("scorer-invocation", || scorer_label(plan));
+                    let s = self.scorer.score(plan, morsel, &self.cancel)?;
                     if s.len() != morsel.num_rows() {
                         return Err(ExecError::Scoring(format!(
                             "scorer returned {} predictions for {} rows",
@@ -752,7 +704,7 @@ mod tests {
     struct PipelineScorer;
 
     impl Scorer for PipelineScorer {
-        fn score(&self, node: &Plan, batch: &RecordBatch) -> Result<Vec<f64>> {
+        fn score(&self, node: &Plan, batch: &RecordBatch, _: &CancelToken) -> Result<Vec<f64>> {
             match node {
                 Plan::Predict { model, .. } => model
                     .pipeline
@@ -1029,21 +981,26 @@ mod tests {
             Arc::new(NoopScorer) as Arc<dyn Scorer>,
             ExecOptions::serial(),
         );
-        let cancel = CancelToken::new();
+        let run = |params: &[Value]| {
+            shared.execute_traced(
+                &template,
+                params,
+                &CancelToken::new(),
+                &SpanRecorder::disabled(),
+            )
+        };
         // One template, three requests with different constants.
         for (threshold, expect) in [(35i64, 3usize), (45, 2), (55, 1)] {
-            let t = shared
-                .execute_with_params(&template, &[Value::Int64(threshold)], &cancel)
-                .unwrap();
+            let t = run(&[Value::Int64(threshold)]).unwrap();
             assert_eq!(t.num_rows(), expect, "age > {threshold}");
         }
         // Unbound execution of a template is a typed error, not a panic.
-        let err = shared.execute_with_params(&template, &[], &cancel);
+        let err = run(&[]);
         assert!(matches!(err, Err(ExecError::Eval(_))), "{err:?}");
         let direct = Executor::new(&cat, &NoopScorer, ExecOptions::serial()).execute(&template);
         assert!(matches!(direct, Err(ExecError::Eval(_))));
         // Wrong type: string into a Float64 slot.
-        let err = shared.execute_with_params(&template, &[Value::Utf8("x".into())], &cancel);
+        let err = run(&[Value::Utf8("x".into())]);
         assert!(matches!(err, Err(ExecError::Eval(_))));
     }
 
@@ -1108,7 +1065,7 @@ mod tests {
         // invocation: the next morsel (or operator) must observe it.
         struct CancellingScorer(CancelToken);
         impl Scorer for CancellingScorer {
-            fn score(&self, _node: &Plan, batch: &RecordBatch) -> Result<Vec<f64>> {
+            fn score(&self, _: &Plan, batch: &RecordBatch, _: &CancelToken) -> Result<Vec<f64>> {
                 self.0.cancel();
                 Ok(vec![0.0; batch.num_rows()])
             }
@@ -1188,7 +1145,7 @@ mod tests {
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
-            ["op:predict", "op:filter", "op:scan", "scorer-invocation"]
+            ["op:predict", "op:filter", "op:scan", "scorer-invocation:m"]
         );
         // Parent links mirror the plan: filter under predict, scan under
         // filter, the scorer invocation under predict.
@@ -1201,6 +1158,62 @@ mod tests {
             .execute(&plan)
             .unwrap();
         assert_eq!(t2.num_rows(), 3);
+    }
+
+    #[test]
+    fn scorer_span_carries_the_model_and_cancel_skips_the_scorer() {
+        // Counts its invocations and scores every row 1.0.
+        struct CountingScorer(std::sync::atomic::AtomicUsize);
+        impl Scorer for CountingScorer {
+            fn score(&self, _: &Plan, batch: &RecordBatch, _: &CancelToken) -> Result<Vec<f64>> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Ok(vec![1.0; batch.num_rows()])
+            }
+        }
+        let cat = catalog();
+        let pipeline = Pipeline::new(
+            vec![FeatureStep::new("age", Transform::Identity)],
+            Estimator::Linear(LinearModel::new(vec![1.0], 0.0, LinearKind::Regression).unwrap()),
+        )
+        .unwrap();
+        let plan = Plan::Predict {
+            input: Box::new(scan(&cat, "people")),
+            model: ModelRef {
+                name: "risk".into(),
+                pipeline: Arc::new(pipeline),
+            },
+            output: "score".into(),
+            mode: raven_ir::ExecutionMode::InProcess,
+        };
+        let scorer = CountingScorer(Default::default());
+        let run = |cancel: CancelToken, trace: &SpanRecorder| {
+            Executor::new(&cat, &scorer, ExecOptions::serial())
+                .with_cancel(cancel)
+                .with_trace(trace.clone())
+                .execute(&plan)
+        };
+        let trace = SpanRecorder::enabled();
+        assert_eq!(run(CancelToken::new(), &trace).unwrap().num_rows(), 4);
+        let spans = trace.into_spans();
+        let predict = spans.iter().position(|s| s.name == "op:predict").unwrap();
+        let invocation = spans
+            .iter()
+            .find(|s| s.name.starts_with("scorer-invocation"))
+            .expect("a scorer span");
+        assert_eq!(invocation.name, "scorer-invocation:risk");
+        assert_eq!(invocation.parent, Some(predict as u32));
+        assert_eq!(scorer.0.load(Ordering::SeqCst), 1);
+        // A token cancelled before execution: the scorer is never called
+        // and no invocation span is opened.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let trace = SpanRecorder::enabled();
+        assert!(matches!(run(cancelled, &trace), Err(ExecError::Cancelled)));
+        assert_eq!(scorer.0.load(Ordering::SeqCst), 1);
+        assert!(!trace
+            .into_spans()
+            .iter()
+            .any(|s| s.name.starts_with("scorer-invocation")));
     }
 
     #[test]

@@ -72,18 +72,9 @@ impl ExternalConfig {
 }
 
 /// Out-of-process scoring: serialize → worker thread → deserialize.
+/// `cancel` is polled across the simulated startup and transfer sleeps —
+/// the runtime layer's hook for deadline-expired serving requests.
 pub fn score_out_of_process(
-    pipeline: &Pipeline,
-    batch: &RecordBatch,
-    config: &ExternalConfig,
-) -> Result<Vec<f64>> {
-    score_out_of_process_cancellable(pipeline, batch, config, &CancelToken::new())
-}
-
-/// [`score_out_of_process`] with a cancellation token polled across the
-/// simulated startup and transfer sleeps — the runtime layer's hook for
-/// deadline-expired serving requests.
-pub fn score_out_of_process_cancellable(
     pipeline: &Pipeline,
     batch: &RecordBatch,
     config: &ExternalConfig,
@@ -154,17 +145,9 @@ impl ContainerConfig {
 }
 
 /// Containerized scoring: chunked REST-style requests to a worker.
+/// `cancel` is polled between chunks: an expired deadline stops the
+/// remaining round-trips.
 pub fn score_container(
-    pipeline: &Pipeline,
-    batch: &RecordBatch,
-    config: &ContainerConfig,
-) -> Result<Vec<f64>> {
-    score_container_cancellable(pipeline, batch, config, &CancelToken::new())
-}
-
-/// [`score_container`] with a cancellation token polled between REST
-/// chunks: an expired deadline stops the remaining round-trips.
-pub fn score_container_cancellable(
     pipeline: &Pipeline,
     batch: &RecordBatch,
     config: &ContainerConfig,
@@ -188,9 +171,7 @@ pub fn score_container_cancellable(
             startup_latency: Duration::ZERO,
             bandwidth_bytes_per_sec: config.bandwidth_bytes_per_sec,
         };
-        out.extend(score_out_of_process_cancellable(
-            pipeline, &part, &external, cancel,
-        )?);
+        out.extend(score_out_of_process(pipeline, &part, &external, cancel)?);
         start = end;
         if rows == 0 {
             break;
@@ -238,7 +219,8 @@ mod tests {
         let p = pipeline();
         let b = batch(10);
         let reference = p.predict(&b).unwrap();
-        let external = score_out_of_process(&p, &b, &ExternalConfig::instant()).unwrap();
+        let external =
+            score_out_of_process(&p, &b, &ExternalConfig::instant(), &CancelToken::new()).unwrap();
         assert_eq!(reference, external);
     }
 
@@ -251,7 +233,7 @@ mod tests {
             rows_per_request: 7,
             ..ContainerConfig::instant()
         };
-        let scored = score_container(&p, &b, &config).unwrap();
+        let scored = score_container(&p, &b, &config, &CancelToken::new()).unwrap();
         assert_eq!(reference, scored);
     }
 
@@ -264,7 +246,7 @@ mod tests {
             bandwidth_bytes_per_sec: f64::INFINITY,
         };
         let start = std::time::Instant::now();
-        score_out_of_process(&p, &b, &config).unwrap();
+        score_out_of_process(&p, &b, &config, &CancelToken::new()).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
@@ -279,7 +261,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let start = std::time::Instant::now();
-        let err = score_out_of_process_cancellable(&p, &b, &config, &cancel);
+        let err = score_out_of_process(&p, &b, &config, &cancel);
         assert_eq!(err, Err(RuntimeError::Cancelled));
         assert!(
             start.elapsed() < Duration::from_secs(1),
@@ -290,7 +272,7 @@ mod tests {
             ..ContainerConfig::instant()
         };
         assert_eq!(
-            score_container_cancellable(&p, &b, &container, &cancel),
+            score_container(&p, &b, &container, &cancel),
             Err(RuntimeError::Cancelled)
         );
     }
@@ -299,11 +281,15 @@ mod tests {
     fn empty_batch_scores_empty() {
         let p = pipeline();
         let b = batch(0);
-        assert!(score_out_of_process(&p, &b, &ExternalConfig::instant())
-            .unwrap()
-            .is_empty());
-        assert!(score_container(&p, &b, &ContainerConfig::instant())
-            .unwrap()
-            .is_empty());
+        assert!(
+            score_out_of_process(&p, &b, &ExternalConfig::instant(), &CancelToken::new())
+                .unwrap()
+                .is_empty()
+        );
+        assert!(
+            score_container(&p, &b, &ContainerConfig::instant(), &CancelToken::new())
+                .unwrap()
+                .is_empty()
+        );
     }
 }

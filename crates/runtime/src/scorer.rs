@@ -1,8 +1,6 @@
 //! The Raven scorer: dispatches model operators to their engines.
 
-use crate::external::{
-    score_container_cancellable, score_out_of_process_cancellable, ContainerConfig, ExternalConfig,
-};
+use crate::external::{score_container, score_out_of_process, ContainerConfig, ExternalConfig};
 use crate::Result;
 use raven_data::RecordBatch;
 use raven_ir::{Device, ExecutionMode, Plan};
@@ -237,37 +235,25 @@ fn routing_matrix_for(
 }
 
 impl Scorer for RavenScorer {
-    fn score(&self, node: &Plan, batch: &RecordBatch) -> raven_relational::Result<Vec<f64>> {
-        self.score_cancellable(node, batch, &CancelToken::new())
-    }
-
-    /// Cancellation hook for deadline-expired executions: the token is
-    /// checked on entry and polled across the simulated external-runtime
-    /// and container sleeps, so an abandoned request stops consuming the
+    /// `cancel` is polled across the simulated external-runtime and
+    /// container sleeps, so an abandoned request stops consuming the
     /// scorer instead of running to completion.
-    fn score_cancellable(
+    fn score(
         &self,
         node: &Plan,
         batch: &RecordBatch,
         cancel: &CancelToken,
     ) -> raven_relational::Result<Vec<f64>> {
-        cancel.check()?;
         let run = || -> Result<Vec<f64>> {
             match node {
                 Plan::Predict { model, mode, .. } => match mode {
                     ExecutionMode::InProcess => Ok(model.pipeline.predict(batch)?),
-                    ExecutionMode::OutOfProcess => score_out_of_process_cancellable(
-                        &model.pipeline,
-                        batch,
-                        &self.config.external,
-                        cancel,
-                    ),
-                    ExecutionMode::Container => score_container_cancellable(
-                        &model.pipeline,
-                        batch,
-                        &self.config.container,
-                        cancel,
-                    ),
+                    ExecutionMode::OutOfProcess => {
+                        score_out_of_process(&model.pipeline, batch, &self.config.external, cancel)
+                    }
+                    ExecutionMode::Container => {
+                        score_container(&model.pipeline, batch, &self.config.container, cancel)
+                    }
                 },
                 Plan::TensorPredict {
                     model,
@@ -297,27 +283,6 @@ impl Scorer for RavenScorer {
             crate::RuntimeError::Cancelled => ExecError::Cancelled,
             e => ExecError::Scoring(e.to_string()),
         })
-    }
-
-    /// The runtime layer knows which model it is scoring, so a sampled
-    /// request's scorer span carries the model name as a label (the
-    /// label closure only runs when the recorder is live).
-    fn score_traced(
-        &self,
-        node: &Plan,
-        batch: &RecordBatch,
-        cancel: &CancelToken,
-        trace: &raven_obs::SpanRecorder,
-    ) -> raven_relational::Result<Vec<f64>> {
-        let _span = trace.span_labeled("scorer-invocation", || match node {
-            Plan::Predict { model, .. }
-            | Plan::TensorPredict { model, .. }
-            | Plan::KernelPredict { model, .. }
-            | Plan::ClusteredPredict { model, .. } => model.name.clone(),
-            Plan::Udf { name, .. } => name.clone(),
-            other => other.label(),
-        });
-        self.score_cancellable(node, batch, cancel)
     }
 
     fn parallelizable(&self, node: &Plan) -> bool {
@@ -388,7 +353,11 @@ mod tests {
                 output: "s".into(),
                 mode,
             };
-            assert_eq!(scorer.score(&node, &b).unwrap(), reference, "{mode:?}");
+            assert_eq!(
+                scorer.score(&node, &b, &CancelToken::new()).unwrap(),
+                reference,
+                "{mode:?}"
+            );
         }
     }
 
@@ -406,7 +375,7 @@ mod tests {
                 output: "s".into(),
                 device,
             };
-            let scored = scorer.score(&node, &b).unwrap();
+            let scored = scorer.score(&node, &b, &CancelToken::new()).unwrap();
             for (a, e) in scored.iter().zip(&reference) {
                 assert!((a - e).abs() < 1e-4, "{device:?}: {a} vs {e}");
             }
@@ -425,14 +394,14 @@ mod tests {
             device: Device::CpuSingle,
         };
         let b = batch(4);
-        scorer.score(&node, &b).unwrap();
-        scorer.score(&node, &b).unwrap();
+        scorer.score(&node, &b, &CancelToken::new()).unwrap();
+        scorer.score(&node, &b, &CancelToken::new()).unwrap();
         let (hits, misses) = scorer.cache_stats();
         assert_eq!(misses, 1);
         assert_eq!(hits, 1);
         // Invalidation forces a rebuild.
         scorer.invalidate("m");
-        scorer.score(&node, &b).unwrap();
+        scorer.score(&node, &b, &CancelToken::new()).unwrap();
         assert_eq!(scorer.cache_stats().1, 2);
     }
 
@@ -461,25 +430,10 @@ mod tests {
             output: "s".into(),
         };
         let reference = pipeline().predict(&b).unwrap();
-        assert_eq!(scorer.score(&node, &b).unwrap(), reference);
-    }
-
-    #[test]
-    fn traced_scoring_labels_the_model() {
-        let scorer = RavenScorer::new(ScorerConfig::instant());
-        let node = Plan::Predict {
-            input: dummy_input(4),
-            model: model_ref(),
-            output: "s".into(),
-            mode: ExecutionMode::InProcess,
-        };
-        let trace = raven_obs::SpanRecorder::enabled();
-        scorer
-            .score_traced(&node, &batch(4), &CancelToken::new(), &trace)
-            .unwrap();
-        let spans = trace.into_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "scorer-invocation:m");
+        assert_eq!(
+            scorer.score(&node, &b, &CancelToken::new()).unwrap(),
+            reference
+        );
     }
 
     #[test]
@@ -491,7 +445,7 @@ mod tests {
             inputs: vec![],
             output: "o".into(),
         };
-        assert!(scorer.score(&node, &batch(1)).is_err());
+        assert!(scorer.score(&node, &batch(1), &CancelToken::new()).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use raven_ml::featurize::{StandardScaler, Transform};
 use raven_ml::translate::translate_pipeline;
 use raven_ml::tree::TreeNode;
 use raven_ml::{DecisionTree, Estimator, FeatureStep, FlatForest, Pipeline, RandomForest};
-use raven_relational::Scorer;
+use raven_relational::{CancelToken, Scorer};
 use raven_runtime::{RavenScorer, ScorerConfig};
 use std::sync::Arc;
 
@@ -127,7 +127,7 @@ proptest! {
             model: model.clone(),
             output: "s".into(),
             mode: ExecutionMode::InProcess,
-        }, &batch).unwrap();
+        }, &batch, &CancelToken::new()).unwrap();
 
         let flat = FlatForest::from_pipeline(&model.pipeline).unwrap();
         let kernel = scorer.score(&Plan::KernelPredict {
@@ -135,7 +135,7 @@ proptest! {
             model: model.clone(),
             flat: Arc::new(flat),
             output: "s".into(),
-        }, &batch).unwrap();
+        }, &batch, &CancelToken::new()).unwrap();
 
         prop_assert_eq!(classical.len(), kernel.len());
         for (r, (c, k)) in classical.iter().zip(&kernel).enumerate() {
@@ -167,7 +167,7 @@ proptest! {
             model: model.clone(),
             flat: Arc::new(flat),
             output: "s".into(),
-        }, &batch).unwrap();
+        }, &batch, &CancelToken::new()).unwrap();
 
         let graph = Arc::new(translate_pipeline(&model.pipeline).unwrap());
         let tensor = scorer.score(&Plan::TensorPredict {
@@ -176,7 +176,7 @@ proptest! {
             graph,
             output: "s".into(),
             device: Device::CpuSingle,
-        }, &batch).unwrap();
+        }, &batch, &CancelToken::new()).unwrap();
 
         prop_assert_eq!(kernel.len(), tensor.len());
         for (r, (k, t)) in kernel.iter().zip(&tensor).enumerate() {

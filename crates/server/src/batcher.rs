@@ -20,8 +20,8 @@
 //! calling thread, recorded exactly as a flush of one row, and never
 //! touches the queue. The reactor calls it for wire `Score` frames;
 //! everything it declines (unmeasured, expensive, unknown, wrong arity,
-//! no deadline slack) takes [`MicroBatcher::score_with_deadline`], which
-//! still owns coalescing and every typed error. Both paths run the same
+//! no deadline slack) takes [`MicroBatcher::score`], which still owns
+//! coalescing and every typed error. Both paths run the same
 //! `score_and_record`.
 //!
 //! The flush window is deadline-aware. Each request may carry a deadline;
@@ -50,7 +50,7 @@
 //! (`batcher_inline_total` counts how many of the rows scored took the
 //! caller-runs path).
 //!
-//! [admit-or-shed]: MicroBatcher::score_with_deadline
+//! [admit-or-shed]: MicroBatcher::score
 
 use crate::error::{Result, ServerError};
 use parking_lot::{Mutex, RwLock};
@@ -459,80 +459,16 @@ impl MicroBatcher {
     /// Score one raw feature row (values in the model pipeline's step
     /// order) against the latest version of `model`. Blocks until the
     /// batched invocation containing this row completes.
-    pub fn score(&self, model: &str, row: Vec<f64>) -> Result<f64> {
-        self.score_inner(model, row, None, None, &SpanRecorder::disabled())
-    }
-
-    /// [`MicroBatcher::score`] with a span recorder: a sampled request
-    /// gets `batcher-queue` (time from enqueue to flush) and
-    /// `batcher-score` (its share of the batched invocation) spans,
-    /// recorded by the worker thread.
-    pub fn score_traced(&self, model: &str, row: Vec<f64>, trace: &SpanRecorder) -> Result<f64> {
-        self.score_inner(model, row, None, None, trace)
-    }
-
-    /// The SLO-aware variant (mirroring `Scorer::score_cancellable`):
-    /// the request is admitted only if the cost model predicts it can be
-    /// scored before `deadline`, is shed typed at flush time if the
-    /// deadline expires while it queues, and the caller waits with a
+    ///
+    /// With a `deadline`, the request is admitted only if the cost model
+    /// predicts it can be scored in time, is shed typed at flush time if
+    /// the deadline expires while it queues, and the caller waits with a
     /// timeout instead of indefinitely. A `cancel` token lets the caller
     /// abandon the wait early (the row may still be scored; its reply is
-    /// dropped). Both `None` make this identical to [`Self::score_traced`].
-    pub fn score_with_deadline(
-        &self,
-        model: &str,
-        row: Vec<f64>,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-        trace: &SpanRecorder,
-    ) -> Result<f64> {
-        self.score_inner(model, row, deadline, cancel, trace)
-    }
-
-    /// Score `row` **on the calling thread**, or decline — the
-    /// non-blocking, caller-runs twin of [`Self::score_with_deadline`]
-    /// for callers that must not wait (the reactor). Commits only when
-    /// the latest version of `model` has an observed cost, one row of it
-    /// is predicted within [`INLINE_SCORE_BUDGET_US`], the arity matches
-    /// and `deadline` (if any) leaves more slack than the prediction.
-    /// `None` means nothing was counted: the caller takes the queued
-    /// path, which repeats the lookups and owns every typed rejection.
-    ///
-    /// A committed call is recorded exactly as a flush of one row, plus
-    /// `batcher_inline_total`. `begin_trace` runs only on commit (a
-    /// declined probe must not consume a sampling slot) and its recorder
-    /// comes back carrying the `batcher-score` span.
-    pub fn try_score_inline(
-        &self,
-        model: &str,
-        row: &[f64],
-        deadline: Option<Instant>,
-        begin_trace: impl FnOnce() -> SpanRecorder,
-    ) -> Option<(Result<f64>, SpanRecorder)> {
-        let (version, pipeline) = self.store.get_latest(model).ok()?;
-        if pipeline.steps().len() != row.len() {
-            return None;
-        }
-        let predicted_us = self.counters.predicted_row_cost_us(model, version)?;
-        if predicted_us > INLINE_SCORE_BUDGET_US {
-            return None;
-        }
-        if let Some(at) = deadline {
-            let slack = at.saturating_duration_since(Instant::now());
-            if slack.as_secs_f64() * 1e6 <= predicted_us {
-                return None;
-            }
-        }
-        self.counters.requests.inc();
-        self.counters.inline.inc();
-        let trace = begin_trace();
-        let scored = score_and_record(model, version, &pipeline, row, 1, &self.counters);
-        trace.record("batcher-score", scored.started, scored.elapsed);
-        let outcome = scored.outcome.map(|scores| scores[0]);
-        Some((outcome, trace))
-    }
-
-    fn score_inner(
+    /// dropped). A live `trace` gets `batcher-queue` (time from enqueue
+    /// to flush) and `batcher-score` (its share of the batched
+    /// invocation) spans, recorded by the worker thread.
+    pub fn score(
         &self,
         model: &str,
         row: Vec<f64>,
@@ -612,6 +548,49 @@ impl MicroBatcher {
                 Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ServerError::ShuttingDown),
             }
         }
+    }
+
+    /// Score `row` **on the calling thread**, or decline — the
+    /// non-blocking, caller-runs twin of [`Self::score`] for callers
+    /// that must not wait (the reactor). Commits only when
+    /// the latest version of `model` has an observed cost, one row of it
+    /// is predicted within [`INLINE_SCORE_BUDGET_US`], the arity matches
+    /// and `deadline` (if any) leaves more slack than the prediction.
+    /// `None` means nothing was counted: the caller takes the queued
+    /// path, which repeats the lookups and owns every typed rejection.
+    ///
+    /// A committed call is recorded exactly as a flush of one row, plus
+    /// `batcher_inline_total`. `begin_trace` runs only on commit (a
+    /// declined probe must not consume a sampling slot) and its recorder
+    /// comes back carrying the `batcher-score` span.
+    pub fn try_score_inline(
+        &self,
+        model: &str,
+        row: &[f64],
+        deadline: Option<Instant>,
+        begin_trace: impl FnOnce() -> SpanRecorder,
+    ) -> Option<(Result<f64>, SpanRecorder)> {
+        let (version, pipeline) = self.store.get_latest(model).ok()?;
+        if pipeline.steps().len() != row.len() {
+            return None;
+        }
+        let predicted_us = self.counters.predicted_row_cost_us(model, version)?;
+        if predicted_us > INLINE_SCORE_BUDGET_US {
+            return None;
+        }
+        if let Some(at) = deadline {
+            let slack = at.saturating_duration_since(Instant::now());
+            if slack.as_secs_f64() * 1e6 <= predicted_us {
+                return None;
+            }
+        }
+        self.counters.requests.inc();
+        self.counters.inline.inc();
+        let trace = begin_trace();
+        let scored = score_and_record(model, version, &pipeline, row, 1, &self.counters);
+        trace.record("batcher-score", scored.started, scored.elapsed);
+        let outcome = scored.outcome.map(|scores| scores[0]);
+        Some((outcome, trace))
     }
 
     pub fn stats(&self) -> BatcherStats {
@@ -895,6 +874,11 @@ mod tests {
         .unwrap()
     }
 
+    /// A plain blocking score: no deadline, no token, no trace.
+    fn score(batcher: &MicroBatcher, model: &str, row: Vec<f64>) -> Result<f64> {
+        batcher.score(model, row, None, None, &SpanRecorder::disabled())
+    }
+
     fn store_with_linear(name: &str, w: &[f64], b: f64) -> Arc<ModelStore> {
         let store = Arc::new(ModelStore::new());
         store.store(name, linear(w, b));
@@ -924,8 +908,8 @@ mod tests {
     fn scores_match_direct_pipeline() {
         let store = store_with_linear("m", &[2.0, -1.0], 0.5);
         let batcher = MicroBatcher::new(store, BatchConfig::default());
-        assert_eq!(batcher.score("m", vec![3.0, 1.0]).unwrap(), 5.5);
-        assert_eq!(batcher.score("m", vec![0.0, 0.0]).unwrap(), 0.5);
+        assert_eq!(score(&batcher, "m", vec![3.0, 1.0]).unwrap(), 5.5);
+        assert_eq!(score(&batcher, "m", vec![0.0, 0.0]).unwrap(), 0.5);
     }
 
     #[test]
@@ -941,7 +925,7 @@ mod tests {
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let b = batcher.clone();
-                std::thread::spawn(move || b.score("m", vec![i as f64]).unwrap())
+                std::thread::spawn(move || score(&b, "m", vec![i as f64]).unwrap())
             })
             .collect();
         for (i, h) in handles.into_iter().enumerate() {
@@ -964,15 +948,15 @@ mod tests {
         let store = store_with_linear("m", &[1.0, 1.0], 0.0);
         let batcher = MicroBatcher::new(store, BatchConfig::default());
         assert!(matches!(
-            batcher.score("m", vec![1.0]),
+            score(&batcher, "m", vec![1.0]),
             Err(ServerError::BadRequest(_))
         ));
         assert!(matches!(
-            batcher.score("ghost", vec![1.0, 2.0]),
+            score(&batcher, "ghost", vec![1.0, 2.0]),
             Err(ServerError::Store(_))
         ));
         // The queue still works afterwards.
-        assert_eq!(batcher.score("m", vec![1.0, 2.0]).unwrap(), 3.0);
+        assert_eq!(score(&batcher, "m", vec![1.0, 2.0]).unwrap(), 3.0);
         // Every outcome landed in exactly one bucket.
         let stats = batcher.stats();
         assert_eq!(stats.requests, 3);
@@ -1078,19 +1062,19 @@ mod tests {
         registry.gauge("batcher_ewma_row_us").set(10.0);
         let tight = Instant::now() + Duration::from_millis(1);
         let err = batcher
-            .score_with_deadline("m", vec![1.0], Some(tight), None, &SpanRecorder::disabled())
+            .score("m", vec![1.0], Some(tight), None, &SpanRecorder::disabled())
             .unwrap_err();
         assert!(
             matches!(err, ServerError::DeadlineExceeded(ref msg) if msg.contains("shed at enqueue")),
             "expected an enqueue shed, got {err:?}"
         );
         // With no deadline the same predicted cost never sheds.
-        assert_eq!(batcher.score("m", vec![2.0]).unwrap(), 2.0);
+        assert_eq!(score(&batcher, "m", vec![2.0]).unwrap(), 2.0);
         // A deadline with slack beyond the prediction is admitted too.
         let roomy = Instant::now() + Duration::from_secs(60);
         assert_eq!(
             batcher
-                .score_with_deadline("m", vec![3.0], Some(roomy), None, &SpanRecorder::disabled())
+                .score("m", vec![3.0], Some(roomy), None, &SpanRecorder::disabled())
                 .unwrap(),
             3.0
         );
@@ -1115,7 +1099,7 @@ mod tests {
             let batcher = batcher.clone();
             let token = token.clone();
             std::thread::spawn(move || {
-                batcher.score_with_deadline(
+                batcher.score(
                     "m",
                     vec![1.0],
                     None,
@@ -1150,7 +1134,7 @@ mod tests {
                 let b = batcher.clone();
                 std::thread::spawn(move || {
                     for i in 0..500 {
-                        b.score("m", vec![(t * 500 + i) as f64]).unwrap();
+                        score(&b, "m", vec![(t * 500 + i) as f64]).unwrap();
                     }
                 })
             })
@@ -1251,7 +1235,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let batcher = MicroBatcher::with_registry(store, BatchConfig::default(), &registry);
         for i in 0..8 {
-            batcher.score("m", vec![i as f64]).unwrap();
+            score(&batcher, "m", vec![i as f64]).unwrap();
         }
         let stats = batcher.stats();
         assert!(
@@ -1287,7 +1271,10 @@ mod tests {
         let store = store_with_linear("m", &[1.0], 0.0);
         let batcher = MicroBatcher::new(store, BatchConfig::default());
         let trace = SpanRecorder::enabled();
-        assert_eq!(batcher.score_traced("m", vec![2.0], &trace).unwrap(), 2.0);
+        assert_eq!(
+            batcher.score("m", vec![2.0], None, None, &trace).unwrap(),
+            2.0
+        );
         let spans = trace.into_spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["batcher-queue", "batcher-score"]);
@@ -1315,7 +1302,7 @@ mod tests {
         assert!(inline(&batcher, "ghost", &[3.0, 1.0]).is_none());
         assert_eq!(batcher.stats().requests, 0);
         // The pooled path measures it ...
-        assert_eq!(batcher.score("m", vec![3.0, 1.0]).unwrap(), 5.5);
+        assert_eq!(score(&batcher, "m", vec![3.0, 1.0]).unwrap(), 5.5);
         assert!(batcher.counters.predicted_row_cost_us("m", 1).is_some());
         seed_cheap(&batcher, "m", 1);
         // ... after which it scores inline, but never on a bad arity or
@@ -1376,7 +1363,7 @@ mod tests {
         });
         let trace = SpanRecorder::enabled();
         for i in 0..5 {
-            assert_eq!(pooled.score("m", vec![i as f64]).unwrap(), i as f64);
+            assert_eq!(score(&pooled, "m", vec![i as f64]).unwrap(), i as f64);
             seed_cheap(&inlined, "m", 1);
             let (outcome, _) = inlined
                 .try_score_inline("m", &[i as f64], None, || trace.clone())
@@ -1418,7 +1405,7 @@ mod tests {
     fn model_update_visible_to_next_flush() {
         let store = store_with_linear("m", &[1.0], 0.0);
         let batcher = MicroBatcher::new(store.clone(), BatchConfig::default());
-        assert_eq!(batcher.score("m", vec![4.0]).unwrap(), 4.0);
+        assert_eq!(score(&batcher, "m", vec![4.0]).unwrap(), 4.0);
         // v2 doubles the weight; the batcher resolves latest-per-flush.
         let pipeline = Pipeline::new(
             vec![FeatureStep::new("f0", Transform::Identity)],
@@ -1426,6 +1413,6 @@ mod tests {
         )
         .unwrap();
         store.store("m", pipeline);
-        assert_eq!(batcher.score("m", vec![4.0]).unwrap(), 8.0);
+        assert_eq!(score(&batcher, "m", vec![4.0]).unwrap(), 8.0);
     }
 }

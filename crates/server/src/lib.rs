@@ -30,6 +30,14 @@
 //!   policy sizes each wait from the observed cost EWMAs versus the
 //!   oldest queued deadline's slack.
 //!
+//! Each request verb exists once, on [`Tenant`]: [`Tenant::serve`] takes
+//! a [`Statement`] — literal SQL or a `?` template with its values — and
+//! [`Tenant::score`] one feature row; the reactor's non-blocking probes
+//! are [`Tenant::try_serve_cached`] and [`Tenant::try_score_inline`].
+//! `ServerState` resolves the tenant (`state.tenant(name)?`, or
+//! [`ServerState::try_tenant`] for probes that must not create one) and
+//! keeps the server-wide views.
+//!
 //! Around that state sits the network front end: a length-prefixed
 //! framed-TCP protocol ([`proto`], version 6 only — frames carry the
 //! tenant and a request id) served by
@@ -64,7 +72,7 @@
 //! across as many worker threads as the machine offers:
 //!
 //! ```
-//! use raven_server::{ServerConfig, ServerState};
+//! use raven_server::{ServerConfig, ServerState, Statement};
 //! use raven_data::{Column, DataType, Schema, Table};
 //! use raven_ml::featurize::Transform;
 //! use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel, Pipeline};
@@ -75,7 +83,7 @@
 //!     Schema::from_pairs(&[("age", DataType::Float64)]).into_shared(),
 //!     vec![Column::from(vec![30.0, 60.0])],
 //! ).unwrap();
-//! server.register_table("patients", table).unwrap();
+//! server.catalog().register("patients", table).unwrap();
 //! let model = Pipeline::new(
 //!     vec![FeatureStep::new("age", Transform::Identity)],
 //!     Estimator::Linear(LinearModel::new(vec![0.1], 0.0, LinearKind::Regression).unwrap()),
@@ -85,14 +93,16 @@
 //! let sql = "SELECT p.score FROM PREDICT(MODEL = 'risk', DATA = patients AS d) \
 //!            WITH (score FLOAT) AS p";
 //! let threads: Vec<_> = (0..4).map(|_| {
-//!     let server = server.clone();
-//!     std::thread::spawn(move || server.execute(sql).unwrap().table.num_rows())
+//!     let tenant = server.default_tenant().clone();
+//!     std::thread::spawn(move || {
+//!         tenant.serve(Statement::Sql(sql), None).unwrap().table.num_rows()
+//!     })
 //! }).collect();
 //! for t in threads {
 //!     assert_eq!(t.join().unwrap(), 2);
 //! }
 //! // 4 requests, 1 optimization: the plan cache absorbed the rest.
-//! assert_eq!(server.plan_cache_stats().preparations, 1);
+//! assert_eq!(server.default_tenant().plan_cache_stats().preparations, 1);
 //! ```
 
 pub mod admission;
@@ -119,6 +129,6 @@ pub use proto::{ErrorCode, ProtoError, Request, Response, WireStats};
 pub use result_cache::{ResultCache, ResultCacheStats, ResultDeps};
 pub use state::{ServerConfig, ServerQueryResult, ServerState};
 pub use stats::{LatencySummary, ServerStats, StatsSnapshot};
-pub use tenant::{Tenant, TenantId, TenantQuotaConfig, DEFAULT_TENANT};
+pub use tenant::{Statement, Tenant, TenantId, TenantQuotaConfig, DEFAULT_TENANT};
 
 pub use raven_obs::{MetricsRegistry, RegistrySnapshot, Span, Trace};

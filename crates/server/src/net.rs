@@ -46,6 +46,7 @@
 use crate::proto::{self, ProtoError, Request, Response, WireStats};
 use crate::state::{ServerQueryResult, ServerState};
 use crate::stats::StatsSnapshot;
+use crate::tenant::Statement;
 use polling::{Event, Poller};
 use raven_relational::CancelToken;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -883,11 +884,12 @@ fn complete(
 /// caches**, or a point score **of a measured-cheap model**, on the
 /// event-loop thread, returning the complete reply frames (bounded
 /// `RowsChunk`s + `RowsEnd`, or one `Score`), or `None` to dispatch to
-/// the executor pool. The probes ([`ServerState::try_serve_cached_in`],
-/// [`ServerState::try_score_inline_in`]) never block, never execute a
-/// plan and never wait on the micro-batcher; `room` is the connection's
-/// remaining backlog budget, so an inline reply can never overshoot the
-/// watermark the streaming path's backpressure gate enforces.
+/// the executor pool. The probes ([`crate::Tenant::try_serve_cached`],
+/// [`crate::Tenant::try_score_inline`]) never block, never execute a
+/// plan, never wait on the micro-batcher and never create a tenant;
+/// `room` is the connection's remaining backlog budget, so an inline
+/// reply can never overshoot the watermark the streaming path's
+/// backpressure gate enforces.
 fn fast_path_frames(
     shared: &Shared,
     request: &Request,
@@ -895,26 +897,21 @@ fn fast_path_frames(
     room: usize,
 ) -> Option<Vec<Vec<u8>>> {
     let result = match request {
-        Request::Query {
-            sql,
-            tenant,
-            deadline,
-        } => shared
-            .state
-            .try_serve_cached_in(tenant, sql, *deadline, room)?,
-        Request::QueryParams {
-            template,
-            tenant,
-            params,
-            deadline,
-        } => shared
-            .state
-            .try_serve_cached_params_in(tenant, template, params, *deadline, room)?,
+        Request::Query { .. } | Request::QueryParams { .. } => {
+            let (tenant, stmt, deadline) = statement(request)?;
+            shared
+                .state
+                .try_tenant(tenant)?
+                .try_serve_cached(stmt, deadline, room)?
+        }
         Request::Score { model, tenant, row } => {
             if room < proto::SCORE_FRAME_LEN {
                 return None;
             }
-            let outcome = shared.state.try_score_inline_in(tenant, model, row)?;
+            let outcome = shared
+                .state
+                .try_tenant(tenant)?
+                .try_score_inline(model, row)?;
             return Some(vec![score_response(outcome).encode_with_id(request_id)]);
         }
         _ => return None,
@@ -948,6 +945,32 @@ fn fast_path_frames(
     Some(frames)
 }
 
+/// The tenant, statement and deadline a `Query` or `QueryParams` frame
+/// carries; `None` for every other kind.
+fn statement(request: &Request) -> Option<(&str, Statement<'_>, Option<Duration>)> {
+    match request {
+        Request::Query {
+            sql,
+            tenant,
+            deadline,
+        } => Some((tenant, Statement::Sql(sql), *deadline)),
+        Request::QueryParams {
+            template,
+            tenant,
+            params,
+            deadline,
+        } => Some((
+            tenant,
+            Statement::Template {
+                text: template,
+                params,
+            },
+            *deadline,
+        )),
+        _ => None,
+    }
+}
+
 /// Serve one pooled request: queries stream their result
 /// ([`stream_result`]); every other kind answers with one frame.
 fn run_job(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
@@ -958,33 +981,25 @@ fn run_job(job: Job, done_tx: &mpsc::Sender<Completion>, shared: &Shared) {
     } = job;
     let state = &shared.state;
     let response = match request {
-        Request::Query {
-            sql,
-            tenant,
-            deadline,
-        } => {
-            let result = state.serve_in(&tenant, &sql, deadline);
+        Request::Query { .. } | Request::QueryParams { .. } => {
+            let (tenant, stmt, deadline) = statement(&request).expect("a query frame");
+            let result = state.tenant(tenant).and_then(|t| t.serve(stmt, deadline));
             return stream_result(&reply, result, deadline, started, done_tx, shared);
         }
-        Request::QueryParams {
-            template,
-            tenant,
-            params,
-            deadline,
-        } => {
-            let result = state.serve_with_params_in(&tenant, &template, &params, deadline);
-            return stream_result(&reply, result, deadline, started, done_tx, shared);
+        Request::Prepare { sql, tenant } => {
+            match state.tenant(&tenant).and_then(|t| t.prepare(&sql)) {
+                Ok((prepared, cache_hit)) => Response::Prepared {
+                    cache_hit,
+                    prepare_micros: prepared.prepare_time.as_micros() as u64,
+                },
+                Err(e) => Response::from_error(&e),
+            }
         }
-        Request::Prepare { sql, tenant } => match state.prepare_in(&tenant, &sql) {
-            Ok((prepared, cache_hit)) => Response::Prepared {
-                cache_hit,
-                prepare_micros: prepared.prepare_time.as_micros() as u64,
-            },
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Score { model, tenant, row } => {
-            score_response(state.score_row_in(&tenant, &model, row))
-        }
+        Request::Score { model, tenant, row } => score_response(
+            state
+                .tenant(&tenant)
+                .and_then(|t| t.score(&model, row, None)),
+        ),
         // An empty tenant asks for the cross-tenant aggregate; a named
         // tenant gets its own counters — zeros if it does not exist yet
         // (observing a tenant must not create one).

@@ -8,27 +8,30 @@
 //! to shards behind an `RwLock` *per registry shard*, not one global
 //! lock, so resolving different tenants never serializes.
 //!
-//! Every pre-tenancy method (`execute`, `serve`, `register_table`, …)
-//! still exists and operates on the always-present [`DEFAULT_TENANT`];
-//! the `*_in` variants take an explicit tenant name and create the
-//! tenant on first use (bounded by [`ServerConfig::max_tenants`]).
+//! Requests are served by the tenant itself:
+//! `state.tenant(name)?.serve(stmt, deadline)` resolves (creating on first
+//! use, bounded by [`ServerConfig::max_tenants`]) and serves, while the
+//! reactor's non-blocking probes go through [`ServerState::try_tenant`],
+//! which never creates one. What stays here is the registry, the
+//! server-wide views (stats, metrics, traces, the global admission ring),
+//! and a handful of default-tenant conveniences ([`ServerState::serve`],
+//! [`ServerState::execute`], …) for single-namespace callers.
 
 use crate::admission::{AdmissionController, AdmissionStats};
-use crate::batcher::{BatchConfig, BatcherStats};
-use crate::cache::{PlanCacheStats, PreparedQuery};
+use crate::batcher::BatchConfig;
+use crate::cache::PreparedQuery;
 use crate::error::{Result, ServerError};
-use crate::result_cache::ResultCacheStats;
 use crate::stats::{LatencySummary, StatsSnapshot};
-use crate::tenant::{Tenant, TenantId, TenantQuotaConfig, DEFAULT_TENANT};
+use crate::tenant::{Statement, Tenant, TenantId, TenantQuotaConfig, DEFAULT_TENANT};
 use crate::AdmissionConfig;
 use raven_core::{ModelStore, RavenSession, SessionConfig};
-use raven_data::{Catalog, CatalogShards, NamespaceMap, Table, Value};
+use raven_data::{Catalog, CatalogShards, NamespaceMap, Table};
 use raven_ml::Pipeline;
-use raven_obs::{RegistrySnapshot, SpanRecorder, Trace};
+use raven_obs::{RegistrySnapshot, Trace};
 use raven_runtime::RavenScorer;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Registry shards for the tenant map (and the backing catalog
 /// namespaces). Tenant resolution takes a read lock on exactly one.
@@ -235,18 +238,13 @@ pub struct ServerState {
     catalogs: CatalogShards,
     /// Always-present default tenant, resolved without a registry lookup.
     default_tenant: Arc<Tenant>,
-    admission: AdmissionController,
+    /// The global admission ring; every tenant holds a handle to it.
+    admission: Arc<AdmissionController>,
     /// Server-wide trace sequence counter, shared by every tenant's
     /// [`raven_obs::TraceSink`] so aggregate trace views interleave
     /// tenants in capture order.
     trace_seq: Arc<AtomicU64>,
     config: ServerConfig,
-}
-
-impl Default for ServerState {
-    fn default() -> Self {
-        ServerState::new(ServerConfig::default())
-    }
 }
 
 impl ServerState {
@@ -275,7 +273,7 @@ impl ServerState {
 
     /// A server whose default tenant is assembled from explicit shared
     /// parts.
-    pub fn from_parts(
+    fn from_parts(
         catalog: Arc<Catalog>,
         store: Arc<ModelStore>,
         scorer: Arc<RavenScorer>,
@@ -285,13 +283,14 @@ impl ServerState {
         let default_id = TenantId::default();
         let default_catalog = catalogs.get_or_insert_with(default_id.as_str(), || catalog.clone());
         let trace_seq = Arc::new(AtomicU64::new(0));
+        let admission = Arc::new(AdmissionController::new(config.admission.clone()));
         let default_tenant = Arc::new(Tenant::from_parts(
             default_id.clone(),
             default_catalog,
             store,
             scorer,
-            config.tenant_quota.clone(),
             config.clone(),
+            admission.clone(),
             trace_seq.clone(),
         ));
         let tenants = TenantRegistry::new();
@@ -303,7 +302,6 @@ impl ServerState {
             .try_insert(default_id.as_str(), default_tenant.clone())
             .ok();
         tenants.count.fetch_add(1, Ordering::SeqCst);
-        let admission = AdmissionController::new(config.admission.clone());
         ServerState {
             tenants,
             catalogs,
@@ -328,14 +326,16 @@ impl ServerState {
     /// [`ServerConfig::max_tenants`] is reached
     /// ([`ServerError::Overloaded`]).
     pub fn tenant(&self, tenant: &str) -> Result<Arc<Tenant>> {
-        self.tenant_with_quota(tenant, self.config.tenant_quota.clone())
+        self.tenant_with_config(tenant, self.config.clone())
     }
 
     /// [`ServerState::tenant`], but a tenant created by *this* call gets
     /// `quota` instead of the configured default. If the tenant already
     /// exists its quota is unchanged.
     pub fn tenant_with_quota(&self, tenant: &str, quota: TenantQuotaConfig) -> Result<Arc<Tenant>> {
-        self.tenant_with_config(tenant, quota, self.config.clone())
+        let mut config = self.config.clone();
+        config.tenant_quota = quota;
+        self.tenant_with_config(tenant, config)
     }
 
     /// [`ServerState::tenant`], but a tenant created by *this* call gets
@@ -346,15 +346,10 @@ impl ServerState {
     pub fn tenant_with_batch(&self, tenant: &str, batch: BatchConfig) -> Result<Arc<Tenant>> {
         let mut config = self.config.clone();
         config.batch = batch;
-        self.tenant_with_config(tenant, self.config.tenant_quota.clone(), config)
+        self.tenant_with_config(tenant, config)
     }
 
-    fn tenant_with_config(
-        &self,
-        tenant: &str,
-        quota: TenantQuotaConfig,
-        config: ServerConfig,
-    ) -> Result<Arc<Tenant>> {
+    fn tenant_with_config(&self, tenant: &str, config: ServerConfig) -> Result<Arc<Tenant>> {
         if tenant == DEFAULT_TENANT {
             return Ok(self.default_tenant.clone());
         }
@@ -375,8 +370,8 @@ impl ServerState {
                     self.catalogs.get_or_create(id.as_str()),
                     Arc::new(ModelStore::new()),
                     Arc::new(RavenScorer::new(config.session.scorer.clone())),
-                    quota,
                     config,
+                    self.admission.clone(),
                     self.trace_seq.clone(),
                 )
             })
@@ -410,16 +405,12 @@ impl ServerState {
     }
 
     // -----------------------------------------------------------------
-    // Default-tenant conveniences (the pre-tenancy API, unchanged).
+    // Default-tenant conveniences, for single-namespace callers. Every
+    // other verb is `state.tenant(name)?.verb(..)`.
 
     /// The default tenant's table catalog.
     pub fn catalog(&self) -> &Catalog {
         self.default_tenant.catalog()
-    }
-
-    /// The default tenant's model store.
-    pub fn store(&self) -> &ModelStore {
-        self.default_tenant.store()
     }
 
     /// The serving configuration.
@@ -434,33 +425,10 @@ impl ServerState {
         self.default_tenant.session()
     }
 
-    /// A session over `tenant`'s shared state (created on first use).
-    pub fn session_for(&self, tenant: &str) -> Result<RavenSession> {
-        Ok(self.tenant(tenant)?.session())
-    }
-
-    /// Register a table in the default tenant. Errors if the name is
-    /// taken.
-    pub fn register_table(&self, name: &str, table: Table) -> Result<()> {
-        self.default_tenant.register_table(name, table)
-    }
-
-    /// Register a table in `tenant` (created on first use).
-    pub fn register_table_in(&self, tenant: &str, name: &str, table: Table) -> Result<()> {
-        self.tenant(tenant)?.register_table(name, table)
-    }
-
     /// Replace (or insert) a table in the default tenant, invalidating
     /// its dependent plans and memoized results.
     pub fn replace_table(&self, name: &str, table: Table) {
         self.default_tenant.replace_table(name, table);
-    }
-
-    /// Replace (or insert) a table in `tenant`. Only that tenant's
-    /// caches are invalidated.
-    pub fn replace_table_in(&self, tenant: &str, name: &str, table: Table) -> Result<()> {
-        self.tenant(tenant)?.replace_table(name, table);
-        Ok(())
     }
 
     /// Store a model in the default tenant (new version if the name
@@ -470,23 +438,11 @@ impl ServerState {
         self.default_tenant.store_model(name, pipeline)
     }
 
-    /// Store a model in `tenant`. Only that tenant's caches are
-    /// invalidated — the serving-layer half of the paper's transactional
-    /// model updates, now tenant-scoped.
-    pub fn store_model_in(&self, tenant: &str, name: &str, pipeline: Pipeline) -> Result<u32> {
-        self.tenant(tenant)?.store_model(name, pipeline)
-    }
-
     /// Prepare `sql` in the default tenant (parse → bind → optimize),
     /// consulting its plan cache. Returns the prepared plan and whether
     /// it was a cache hit.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
         self.default_tenant.prepare(sql)
-    }
-
-    /// Prepare `sql` in `tenant` (created on first use).
-    pub fn prepare_in(&self, tenant: &str, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
-        self.tenant(tenant)?.prepare(sql)
     }
 
     /// Serve one SQL query in the default tenant (no explicit deadline;
@@ -495,266 +451,14 @@ impl ServerState {
         self.serve(sql, None)
     }
 
-    /// Serve one SQL query in `tenant` (no explicit deadline).
-    pub fn execute_in(&self, tenant: &str, sql: &str) -> Result<ServerQueryResult> {
-        self.serve_in(tenant, sql, None)
-    }
-
-    /// Serve one SQL query in the default tenant under admission control
-    /// and an optional deadline.
+    /// Serve one SQL query in the default tenant under both admission
+    /// rings and an optional deadline — see [`Tenant::serve`].
     pub fn serve(&self, sql: &str, deadline: Option<Duration>) -> Result<ServerQueryResult> {
-        self.serve_shard(&self.default_tenant, sql, deadline)
-    }
-
-    /// Serve one SQL query in `tenant` under two admission rings and an
-    /// optional deadline.
-    ///
-    /// The request first acquires the **tenant quota** permit
-    /// ([`ServerConfig::tenant_quota`]) — so a tenant saturating its own
-    /// allowance is rejected with a typed [`ServerError::Overloaded`]
-    /// before it can consume server-wide capacity — then the **global**
-    /// permit ([`ServerConfig::admission`]), then executes with a
-    /// cancellation token carrying the deadline. `deadline` falls back
-    /// to [`AdmissionConfig::default_deadline`].
-    pub fn serve_in(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Option<Duration>,
-    ) -> Result<ServerQueryResult> {
-        let shard = self.tenant(tenant)?;
-        self.serve_shard(&shard, sql, deadline)
-    }
-
-    /// Serve one literal-SQL query **inline from warm caches**, or
-    /// decline — the reactor's fast path. Never blocks, never executes,
-    /// never creates a tenant: a cold cache, a saturated admission ring,
-    /// an unknown tenant, or a reply bigger than `max_bytes` all return
-    /// `None`, and the caller dispatches to the executor pool, which
-    /// repeats the probes with full accounting. A committed call is
-    /// counter-for-counter identical to a pooled result-cache hit.
-    pub fn try_serve_cached_in(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Option<Duration>,
-        max_bytes: usize,
-    ) -> Option<ServerQueryResult> {
-        let shard = self.try_tenant(tenant)?;
-        let start = Instant::now();
-        let deadline_at = deadline
-            .or(self.config.admission.default_deadline)
-            .map(|d| start + d);
-        shard.serve_cached_fast(sql, start, deadline_at, max_bytes, &self.admission)
-    }
-
-    /// [`ServerState::try_serve_cached_in`] for the pre-parameterized
-    /// wire path.
-    pub fn try_serve_cached_params_in(
-        &self,
-        tenant: &str,
-        template: &str,
-        params: &[Value],
-        deadline: Option<Duration>,
-        max_bytes: usize,
-    ) -> Option<ServerQueryResult> {
-        let shard = self.try_tenant(tenant)?;
-        let start = Instant::now();
-        let deadline_at = deadline
-            .or(self.config.admission.default_deadline)
-            .map(|d| start + d);
-        shard.serve_cached_fast_params(
-            template,
-            params,
-            start,
-            deadline_at,
-            max_bytes,
-            &self.admission,
-        )
-    }
-
-    /// The shared serve shell: resolve the effective deadline, begin the
-    /// request trace, clear both admission rings, record the per-request
-    /// outcome, and run `body` with the permits held. Exists once so the
-    /// ring ordering and the outcome accounting (each request is
-    /// `admitted` or in exactly one rejection bucket — the invariant
-    /// stats reconcile on) cannot drift between the literal-SQL and
-    /// parameterized paths. The trace is finished here too — rejected
-    /// and failed requests get captured (sampled or slow) like served
-    /// ones, with whatever spans they accumulated before the error.
-    fn admit_and_run(
-        &self,
-        shard: &Tenant,
-        sql: &str,
-        deadline: Option<Duration>,
-        body: impl FnOnce(Instant, Option<Instant>, &SpanRecorder) -> Result<ServerQueryResult>,
-    ) -> Result<ServerQueryResult> {
-        let start = Instant::now();
-        let deadline_at = deadline
-            .or(self.config.admission.default_deadline)
-            .map(|d| start + d);
-        let trace = shard.trace_sink().begin();
-        // Ring 1 (tenant quota) before ring 2 (global): a permit held at
-        // the global ring while blocked on a tenant quota would let a
-        // saturated tenant occupy server-wide capacity. Admission
-        // rejections are recorded as per-tenant outcomes, not query
-        // errors: the request was never executed.
-        let rings = {
-            let _span = trace.span("tenant-quota-wait");
-            shard.quota().admit(deadline_at)
-        }
-        .and_then(|tenant_permit| {
-            let _span = trace.span("global-admission-wait");
-            Ok((tenant_permit, self.admission.admit(deadline_at)?))
-        });
-        let _permits = match rings {
-            Ok(permits) => permits,
-            Err(e) => {
-                shard.stats_recorder().record_rejection(&e);
-                shard
-                    .trace_sink()
-                    .finish(trace, shard.id().as_str(), sql, start.elapsed());
-                return Err(e);
-            }
-        };
-        shard.stats_recorder().record_admitted();
-        let outcome = body(start, deadline_at, &trace);
-        if outcome.is_err() {
-            shard.stats_recorder().record_error();
-        }
-        let total = match &outcome {
-            Ok(result) => result.total_time,
-            Err(_) => start.elapsed(),
-        };
-        shard
-            .trace_sink()
-            .finish(trace, shard.id().as_str(), sql, total);
-        outcome
-    }
-
-    fn serve_shard(
-        &self,
-        shard: &Arc<Tenant>,
-        sql: &str,
-        deadline: Option<Duration>,
-    ) -> Result<ServerQueryResult> {
-        self.admit_and_run(shard, sql, deadline, |start, deadline_at, trace| {
-            shard.execute_inner(sql, start, deadline_at, trace)
-        })
-    }
-
-    /// Serve a pre-parameterized statement in the default tenant: a
-    /// template containing `?` placeholders plus its positional argument
-    /// values (the [`crate::proto::Request::QueryParams`] wire path).
-    pub fn serve_with_params(
-        &self,
-        template: &str,
-        params: &[Value],
-        deadline: Option<Duration>,
-    ) -> Result<ServerQueryResult> {
-        self.serve_with_params_shard(&self.default_tenant, template, params, deadline)
-    }
-
-    /// Serve a pre-parameterized statement in `tenant`, under the same
-    /// two admission rings as [`ServerState::serve_in`].
-    pub fn serve_with_params_in(
-        &self,
-        tenant: &str,
-        template: &str,
-        params: &[Value],
-        deadline: Option<Duration>,
-    ) -> Result<ServerQueryResult> {
-        let shard = self.tenant(tenant)?;
-        self.serve_with_params_shard(&shard, template, params, deadline)
-    }
-
-    fn serve_with_params_shard(
-        &self,
-        shard: &Arc<Tenant>,
-        template: &str,
-        params: &[Value],
-        deadline: Option<Duration>,
-    ) -> Result<ServerQueryResult> {
-        self.admit_and_run(shard, template, deadline, |start, deadline_at, trace| {
-            shard.execute_params_inner(template, params, start, deadline_at, trace)
-        })
-    }
-
-    /// Score one raw feature row against `model` via the default
-    /// tenant's micro-batcher (blocks until the coalesced batch
-    /// completes).
-    pub fn score_row(&self, model: &str, row: Vec<f64>) -> Result<f64> {
-        self.default_tenant.score_row(model, row)
-    }
-
-    /// Score one raw feature row in `tenant` (created on first use).
-    pub fn score_row_in(&self, tenant: &str, model: &str, row: Vec<f64>) -> Result<f64> {
-        self.tenant(tenant)?.score_row(model, row)
-    }
-
-    /// [`ServerState::score_row`] under an SLO: the batcher admits,
-    /// queues, and waits only as long as `deadline` (or the configured
-    /// `admission.default_deadline`) allows, shedding typed
-    /// [`ServerError::DeadlineExceeded`] otherwise.
-    pub fn score_row_with_deadline(
-        &self,
-        model: &str,
-        row: Vec<f64>,
-        deadline: Option<Duration>,
-    ) -> Result<f64> {
-        self.default_tenant
-            .score_row_with_deadline(model, row, deadline)
-    }
-
-    /// [`ServerState::score_row_with_deadline`] in `tenant` (created on
-    /// first use).
-    pub fn score_row_with_deadline_in(
-        &self,
-        tenant: &str,
-        model: &str,
-        row: Vec<f64>,
-        deadline: Option<Duration>,
-    ) -> Result<f64> {
-        self.tenant(tenant)?
-            .score_row_with_deadline(model, row, deadline)
-    }
-
-    /// Score one row **inline on the calling thread**, or decline — the
-    /// reactor's fast path for wire `Score` frames, the twin of
-    /// [`ServerState::try_serve_cached_in`]. Never blocks, never queues,
-    /// never creates a tenant. `None` (unknown tenant or model, a model
-    /// version not yet measured or measured too expensive to be worth
-    /// skipping the queue for, wrong arity, no deadline slack) has
-    /// counted nothing: the caller dispatches to the executor pool and
-    /// [`ServerState::score_row_in`] answers, typed errors included. A
-    /// committed call is counter-for-counter a micro-batcher flush of
-    /// one row, plus `batcher_inline_total`.
-    pub fn try_score_inline_in(
-        &self,
-        tenant: &str,
-        model: &str,
-        row: &[f64],
-    ) -> Option<Result<f64>> {
-        self.try_tenant(tenant)?.try_score_inline(model, row)
+        self.default_tenant.serve(Statement::Sql(sql), deadline)
     }
 
     // -----------------------------------------------------------------
     // Observability.
-
-    /// The default tenant's plan-cache counters.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.default_tenant.plan_cache_stats()
-    }
-
-    /// The default tenant's result-cache counters.
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.default_tenant.result_cache_stats()
-    }
-
-    /// The default tenant's micro-batcher counters.
-    pub fn batcher_stats(&self) -> BatcherStats {
-        self.default_tenant.batcher_stats()
-    }
 
     /// Raw counters of the server-wide (global-ring) admission
     /// controller. Per-request outcomes — which include tenant-ring
@@ -857,7 +561,7 @@ impl ServerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raven_data::{Column, DataType, Schema};
+    use raven_data::{Column, DataType, Schema, Value};
     use raven_ml::featurize::Transform;
     use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel};
 
@@ -880,15 +584,28 @@ mod tests {
         .unwrap()
     }
 
+    /// Give `tenant` the table `t` of `rows` rows and the model `m = w·x0`.
+    fn populate(tenant: &Tenant, rows: i64, w: f64) {
+        tenant.register_table("t", table_of(rows)).unwrap();
+        tenant.store_model("m", linear(vec![w], 0.0)).unwrap();
+    }
+
     fn server_with_table() -> ServerState {
         let server = ServerState::new(ServerConfig::for_tests());
-        server.register_table("t", table_of(100)).unwrap();
-        server.store_model("m", linear(vec![1.0], 0.0)).unwrap();
+        populate(server.default_tenant(), 100, 1.0);
         server
     }
 
     const SQL: &str = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) \
                        WITH (s FLOAT) AS p WHERE p.s > 49";
+
+    /// Every row of `t`, scored.
+    const ALL: &str = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) WITH (s FLOAT) AS p";
+
+    /// Serve `sql` in `tenant`, with no deadline.
+    fn serve(tenant: &Tenant, sql: &str) -> ServerQueryResult {
+        tenant.serve(Statement::Sql(sql), None).unwrap()
+    }
 
     #[test]
     fn prepare_once_execute_many() {
@@ -910,11 +627,11 @@ mod tests {
                 "a result hit replays the stored table, no copy"
             );
         }
-        let stats = server.plan_cache_stats();
+        let stats = server.default_tenant().plan_cache_stats();
         assert_eq!(stats.preparations, 1, "optimization ran once");
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 4);
-        let results = server.result_cache_stats();
+        let results = server.default_tenant().result_cache_stats();
         assert_eq!(results.executions, 1, "execution ran once: {results}");
         assert_eq!((results.hits, results.misses), (4, 1));
         let snap = server.stats();
@@ -938,8 +655,9 @@ mod tests {
             "model update must invalidate the memoized result"
         );
         assert_eq!(v2.table.num_rows(), 100);
-        assert_eq!(server.plan_cache_stats().invalidations, 1);
-        assert_eq!(server.result_cache_stats().invalidations, 1);
+        let tenant = server.default_tenant();
+        assert_eq!(tenant.plan_cache_stats().invalidations, 1);
+        assert_eq!(tenant.result_cache_stats().invalidations, 1);
     }
 
     #[test]
@@ -951,7 +669,10 @@ mod tests {
         assert!(!result.cache_hit);
         assert!(!result.result_cache_hit);
         assert_eq!(result.table.num_rows(), 150);
-        assert_eq!(server.result_cache_stats().invalidations, 1);
+        assert_eq!(
+            server.default_tenant().result_cache_stats().invalidations,
+            1
+        );
     }
 
     #[test]
@@ -960,17 +681,15 @@ mod tests {
         config.plan_cache_capacity = 0;
         config.result_cache_capacity = 0;
         let server = ServerState::new(config);
-        server.register_table("t", table_of(2)).unwrap();
-        server.store_model("m", linear(vec![1.0], 0.0)).unwrap();
-        let sql = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) WITH (s FLOAT) AS p";
-        assert!(!server.execute(sql).unwrap().cache_hit);
-        let second = server.execute(sql).unwrap();
+        populate(server.default_tenant(), 2, 1.0);
+        assert!(!server.execute(ALL).unwrap().cache_hit);
+        let second = server.execute(ALL).unwrap();
         assert!(!second.cache_hit);
         assert!(
             !second.result_cache_hit,
             "capacity 0 must disable result caching"
         );
-        let results = server.result_cache_stats();
+        let results = server.default_tenant().result_cache_stats();
         assert_eq!(
             (results.hits, results.misses, results.executions),
             (0, 0, 0)
@@ -995,8 +714,8 @@ mod tests {
             assert!(again.result_cache_hit, "repeat of threshold {threshold}");
             assert_eq!(again.table.num_rows(), (99 - threshold) as usize);
         }
-        assert_eq!(server.plan_cache_stats().preparations, 1);
-        let results = server.result_cache_stats();
+        assert_eq!(server.default_tenant().plan_cache_stats().preparations, 1);
+        let results = server.default_tenant().result_cache_stats();
         assert_eq!(results.executions, 3, "one execution per distinct constant");
         assert_eq!(results.hits, 3);
     }
@@ -1004,15 +723,14 @@ mod tests {
     #[test]
     fn serve_with_params_rides_the_result_cache() {
         let server = server_with_table();
-        let template = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) \
-                        WITH (s FLOAT) AS p WHERE p.s > ?";
-        let first = server
-            .serve_with_params(template, &[Value::Float64(49.0)], None)
-            .unwrap();
+        let stmt = Statement::Template {
+            text: "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) \
+                   WITH (s FLOAT) AS p WHERE p.s > ?",
+            params: &[Value::Float64(49.0)],
+        };
+        let first = server.default_tenant().serve(stmt, None).unwrap();
         assert!(!first.result_cache_hit);
-        let again = server
-            .serve_with_params(template, &[Value::Float64(49.0)], None)
-            .unwrap();
+        let again = server.default_tenant().serve(stmt, None).unwrap();
         assert!(again.result_cache_hit);
         assert_eq!(first.table.num_rows(), again.table.num_rows());
         // And the literal spelling of the same request shares the entry:
@@ -1027,7 +745,7 @@ mod tests {
             literal.result_cache_hit,
             "literal spelling must reuse the parameterized result"
         );
-        assert_eq!(server.result_cache_stats().executions, 1);
+        assert_eq!(server.default_tenant().result_cache_stats().executions, 1);
     }
 
     #[test]
@@ -1078,8 +796,7 @@ mod tests {
         config.trace_sample_rate = 1; // sample every request
         config.slow_query_threshold = Duration::ZERO; // everything is "slow"
         let server = ServerState::new(config);
-        server.register_table("t", table_of(100)).unwrap();
-        server.store_model("m", linear(vec![1.0], 0.0)).unwrap();
+        populate(server.default_tenant(), 100, 1.0);
         server.execute(SQL).unwrap();
         server.execute(SQL).unwrap();
         let traces = server.recent_traces(DEFAULT_TENANT, 8).unwrap();
@@ -1132,8 +849,7 @@ mod tests {
         config.trace_sample_rate = 0;
         config.slow_query_threshold = Duration::ZERO;
         let server = ServerState::new(config);
-        server.register_table("t", table_of(10)).unwrap();
-        server.store_model("m", linear(vec![1.0], 0.0)).unwrap();
+        populate(server.default_tenant(), 10, 1.0);
         server.execute(SQL).unwrap();
         assert!(server.recent_traces("", 8).unwrap().is_empty());
         assert!(server.slow_queries("", 8).unwrap().is_empty());
@@ -1169,34 +885,26 @@ mod tests {
     #[test]
     fn same_named_objects_in_two_tenants_stay_isolated() {
         let server = ServerState::new(ServerConfig::for_tests());
-        for (tenant, weight, rows) in [("alpha", 1.0, 100), ("beta", 2.0, 50)] {
-            server
-                .register_table_in(tenant, "t", table_of(rows))
-                .unwrap();
-            server
-                .store_model_in(tenant, "m", linear(vec![weight], 0.0))
-                .unwrap();
-        }
-        let sql = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) WITH (s FLOAT) AS p";
+        let [alpha, beta] = ["alpha", "beta"].map(|t| server.tenant(t).unwrap());
         // alpha: identity over 100 rows; beta: doubled over 50 rows.
-        assert_eq!(
-            server.execute_in("alpha", sql).unwrap().table.num_rows(),
-            100
-        );
-        assert_eq!(server.execute_in("beta", sql).unwrap().table.num_rows(), 50);
+        populate(&alpha, 100, 1.0);
+        populate(&beta, 50, 2.0);
+        assert_eq!(serve(&alpha, ALL).table.num_rows(), 100);
+        assert_eq!(serve(&beta, ALL).table.num_rows(), 50);
         // Warm both result caches, then swap alpha's model: beta's
         // caches are untouched and its repeat still hits.
-        assert!(server.execute_in("beta", sql).unwrap().result_cache_hit);
-        server
-            .store_model_in("alpha", "m", linear(vec![0.0], 7.0))
-            .unwrap();
+        assert!(serve(&beta, ALL).result_cache_hit);
+        alpha.store_model("m", linear(vec![0.0], 7.0)).unwrap();
         let alpha = server.tenant_stats("alpha").unwrap();
-        let beta = server.tenant_stats("beta").unwrap();
+        let beta_stats = server.tenant_stats("beta").unwrap();
         assert_eq!(alpha.plan_cache.invalidations, 1);
         assert_eq!(alpha.result_cache.invalidations, 1);
-        assert_eq!(beta.plan_cache.invalidations, 0, "cross-tenant leak");
-        assert_eq!(beta.result_cache.invalidations, 0, "cross-tenant leak");
-        let beta_again = server.execute_in("beta", sql).unwrap();
+        assert_eq!(beta_stats.plan_cache.invalidations, 0, "cross-tenant leak");
+        assert_eq!(
+            beta_stats.result_cache.invalidations, 0,
+            "cross-tenant leak"
+        );
+        let beta_again = serve(&beta, ALL);
         assert!(beta_again.cache_hit && beta_again.result_cache_hit);
         // The default tenant never saw any of it.
         assert_eq!(server.stats().errors, 0);
@@ -1213,40 +921,20 @@ mod tests {
         let mut config = ServerConfig::for_tests();
         config.tenant_quota = TenantQuotaConfig::strict(1);
         let server = Arc::new(ServerState::new(config));
-        for tenant in ["noisy", "quiet"] {
-            server
-                .register_table_in(tenant, "t", table_of(100))
-                .unwrap();
-            server
-                .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-                .unwrap();
+        let [noisy, quiet] = ["noisy", "quiet"].map(|t| server.tenant(t).unwrap());
+        for tenant in [&noisy, &quiet] {
+            populate(tenant, 100, 1.0);
         }
-        let sql = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) WITH (s FLOAT) AS p";
         // Hold `noisy`'s single slot at the tenant ring.
-        let noisy = server.tenant("noisy").unwrap();
         let held = noisy.quota().admit(None).unwrap();
         assert!(matches!(
-            server.serve_in("noisy", sql, None),
+            noisy.serve(Statement::Sql(ALL), None),
             Err(ServerError::Overloaded(_))
         ));
         // `quiet` is admitted and served while `noisy` is saturated.
-        assert_eq!(
-            server
-                .serve_in("quiet", sql, None)
-                .unwrap()
-                .table
-                .num_rows(),
-            100
-        );
+        assert_eq!(serve(&quiet, ALL).table.num_rows(), 100);
         drop(held);
-        assert_eq!(
-            server
-                .serve_in("noisy", sql, None)
-                .unwrap()
-                .table
-                .num_rows(),
-            100
-        );
+        assert_eq!(serve(&noisy, ALL).table.num_rows(), 100);
         let noisy_stats = server.tenant_stats("noisy").unwrap();
         let quiet_stats = server.tenant_stats("quiet").unwrap();
         assert_eq!(noisy_stats.admission.rejected_overloaded, 1);
@@ -1273,18 +961,12 @@ mod tests {
     #[test]
     fn aggregate_stats_sum_across_tenants() {
         let server = ServerState::new(ServerConfig::for_tests());
-        for tenant in ["a", "b"] {
-            server.register_table_in(tenant, "t", table_of(10)).unwrap();
-            server
-                .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-                .unwrap();
-        }
-        let sql = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) WITH (s FLOAT) AS p";
-        for _ in 0..3 {
-            server.execute_in("a", sql).unwrap();
-        }
-        for _ in 0..2 {
-            server.execute_in("b", sql).unwrap();
+        for (tenant, queries) in [("a", 3), ("b", 2)] {
+            let tenant = server.tenant(tenant).unwrap();
+            populate(&tenant, 10, 1.0);
+            for _ in 0..queries {
+                serve(&tenant, ALL);
+            }
         }
         let aggregate = server.stats();
         assert_eq!(aggregate.queries, 5);

@@ -18,13 +18,19 @@
 //! consolidated the maps could not silently lose the dimension.
 //!
 //! Quotas: each tenant carries its own [`AdmissionController`] sized by
-//! [`TenantQuotaConfig`], acquired *before* the server-wide controller
-//! (see `ServerState::serve_in`). Ordering matters for fairness: a noisy
-//! tenant exhausts its own quota and is rejected with a typed
-//! [`ServerError::Overloaded`] before it can occupy global execution
-//! slots or queue positions that other tenants need.
+//! [`TenantQuotaConfig`], acquired *before* the server-wide controller it
+//! shares with every other tenant (see [`Tenant::serve`]). Ordering
+//! matters for fairness: a noisy tenant exhausts its own quota and is
+//! rejected with a typed [`ServerError::Overloaded`] before it can occupy
+//! global execution slots or queue positions that other tenants need.
+//!
+//! Every tenant verb exists once, here: [`Tenant::serve`] (and its
+//! non-blocking probe [`Tenant::try_serve_cached`]) for a [`Statement`]
+//! — literal SQL or a `?` template with its values — and
+//! [`Tenant::score`] (probe: [`Tenant::try_score_inline`]) for one
+//! feature row. `ServerState` only resolves the tenant.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
+use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{BatcherStats, MicroBatcher};
 use crate::cache::{PlanCache, PlanCacheStats, PlanKey, PreparedQuery};
 use crate::error::{Result, ServerError};
@@ -38,6 +44,7 @@ use raven_ml::Pipeline;
 use raven_obs::{MetricsRegistry, RegistrySnapshot, SpanRecorder, TraceConfig, TraceSink};
 use raven_relational::{CancelToken, ExecError, SharedExecutor};
 use raven_runtime::RavenScorer;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::AtomicU64;
@@ -45,8 +52,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The namespace requests land in when they name no tenant — the one
-/// tenant that always exists, and the one every `ServerState`
-/// convenience method serves.
+/// tenant that always exists, and the one the few `ServerState`
+/// convenience methods serve.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Longest accepted tenant name.
@@ -167,6 +174,9 @@ pub struct Tenant {
     result_cache: ResultCache,
     batcher: MicroBatcher,
     quota: AdmissionController,
+    /// The server-wide admission ring, shared by every tenant and
+    /// acquired after [`Tenant::quota`].
+    global: Arc<AdmissionController>,
     stats: ServerStats,
     /// Unified metric registry: the batcher's counters/histograms, the
     /// stats recorder's mirrored request counters, and the latency
@@ -208,22 +218,86 @@ impl NormalizeMemo {
         self.order.push_back(sql.to_string());
         computed
     }
+
+    /// Remember that `sql`'s template does not serve it, so repeats go
+    /// straight to the literal text. A no-op once `sql` was evicted.
+    fn demote(&mut self, sql: &str) {
+        if let Some(entry) = self.map.get_mut(sql) {
+            *entry = None;
+        }
+    }
+}
+
+/// One request's statement, borrowed from whatever carries it (a wire
+/// frame, a caller's string).
+#[derive(Debug, Clone, Copy)]
+pub enum Statement<'a> {
+    /// Literal SQL. With [`ServerConfig::normalize_parameters`] on, its
+    /// constants are extracted so every constant variant shares one
+    /// prepared template.
+    Sql(&'a str),
+    /// A template with `?` placeholders plus one value per placeholder
+    /// (the [`crate::proto::Request::QueryParams`] wire path).
+    Template { text: &'a str, params: &'a [Value] },
+}
+
+impl<'a> Statement<'a> {
+    /// The text traces and the slow-query ring record for this request.
+    pub fn text(&self) -> &'a str {
+        match *self {
+            Statement::Sql(sql) => sql,
+            Statement::Template { text, .. } => text,
+        }
+    }
+}
+
+/// A [`Statement`] resolved against the plan cache.
+struct Resolved<'a> {
+    prepared: Arc<PreparedQuery>,
+    /// Whether the plan-cache lookup hit.
+    cache_hit: bool,
+    /// The values the plan binds: extracted from a literal, or the
+    /// template's own.
+    params: Cow<'a, [Value]>,
+    /// A literal whose constants were normalized into a template.
+    normalized: bool,
+}
+
+impl<'a> Resolved<'a> {
+    fn new(
+        prepared: Arc<PreparedQuery>,
+        cache_hit: bool,
+        params: Cow<'a, [Value]>,
+        normalized: bool,
+    ) -> Self {
+        Resolved {
+            prepared,
+            cache_hit,
+            params,
+            normalized,
+        }
+    }
+
+    /// A plan prepared from the literal text itself: nothing to bind.
+    fn literal((prepared, cache_hit): (Arc<PreparedQuery>, bool)) -> Self {
+        Resolved::new(prepared, cache_hit, Cow::Borrowed(&[]), false)
+    }
 }
 
 impl Tenant {
     /// Assemble a tenant from its shared parts (the catalog typically
     /// comes from the server's [`raven_data::CatalogShards`]) plus the
-    /// serving configuration whose cache/batch budgets it applies
-    /// per-tenant. `trace_seq` is the server-wide trace sequence counter,
-    /// shared so aggregate trace views interleave tenants in capture
-    /// order.
+    /// serving configuration whose cache/batch budgets and quota it
+    /// applies per-tenant. `global` is the server-wide admission ring and
+    /// `trace_seq` the server-wide trace sequence counter, shared so
+    /// aggregate trace views interleave tenants in capture order.
     pub(crate) fn from_parts(
         id: TenantId,
         catalog: Arc<Catalog>,
         store: Arc<ModelStore>,
         scorer: Arc<RavenScorer>,
-        quota: TenantQuotaConfig,
         config: ServerConfig,
+        global: Arc<AdmissionController>,
         trace_seq: Arc<AtomicU64>,
     ) -> Self {
         let executor = SharedExecutor::new(
@@ -254,7 +328,8 @@ impl Tenant {
                 config.result_cache_max_bytes,
             ),
             batcher,
-            quota: AdmissionController::new(quota.admission()),
+            quota: AdmissionController::new(config.tenant_quota.admission()),
+            global,
             stats,
             metrics,
             trace_sink,
@@ -283,16 +358,6 @@ impl Tenant {
     /// directly; the serve path acquires it automatically.
     pub fn quota(&self) -> &AdmissionController {
         &self.quota
-    }
-
-    /// Raw quota-controller counters (permits at the tenant ring only;
-    /// the per-request outcome counters live in [`Tenant::snapshot`]).
-    pub fn quota_stats(&self) -> AdmissionStats {
-        self.quota.stats()
-    }
-
-    pub(crate) fn stats_recorder(&self) -> &ServerStats {
-        &self.stats
     }
 
     /// A session over this tenant's shared state (training flows,
@@ -337,54 +402,102 @@ impl Tenant {
     /// Prepare `sql` through this tenant's plan cache; returns the
     /// prepared plan and whether it was a cache hit.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
-        let (prepared, cache_hit, _params) =
-            self.prepare_normalized(sql, &SpanRecorder::disabled())?;
-        Ok((prepared, cache_hit))
+        let resolved = self.prepare_statement(Statement::Sql(sql), &SpanRecorder::disabled())?;
+        Ok((resolved.prepared, resolved.cache_hit))
     }
 
-    /// Normalize (when enabled) and prepare: the prepared template plan,
-    /// whether it was a cache hit, and the parameter values extracted
-    /// from `sql` (empty on the exact-text path).
-    fn prepare_normalized(
+    /// The one statement resolver behind [`Tenant::serve`],
+    /// [`Tenant::try_serve_cached`] and [`Tenant::prepare`]; they differ
+    /// only in `lookup`, their plan-cache access. A lookup returning
+    /// `Ok(None)` (the inline probe's uncounted peek at a cold entry)
+    /// ends resolution at once, so the probe never commits to a later
+    /// candidate text than the counted path would use.
+    ///
+    /// A literal goes through the normalize memo: its template first,
+    /// then — when the template fails to prepare or its arity surprises —
+    /// the canonical literal text. Once that fallback prepares, the memo
+    /// entry is demoted so repeats skip the doomed template. A template
+    /// is canonicalized (so a hand-written one shares the normalizer's
+    /// cache entry) and arity-checked into a typed `BadRequest`.
+    fn resolve<'a>(
         &self,
-        sql: &str,
+        stmt: Statement<'a>,
         trace: &SpanRecorder,
-    ) -> Result<(Arc<PreparedQuery>, bool, Vec<Value>)> {
-        if self.config.normalize_parameters {
-            let normalized = {
-                let _span = trace.span("normalize");
-                self.normalize_memo.lock().unwrap().get_or_compute(sql)
-            };
-            if let Some(n) = normalized {
-                match self.prepare_text(&n.template, trace) {
-                    Ok((prepared, cache_hit)) if prepared.param_count == n.params.len() => {
-                        if n.has_params() {
-                            self.stats.record_normalized(cache_hit);
-                        }
-                        return Ok((prepared, cache_hit, n.params));
-                    }
-                    // The template didn't prepare (e.g. a literal whose
-                    // placeholder type is uninferable, like a bare
-                    // `SELECT 5`) or its arity surprised us: fall back to
-                    // the exact literal text below.
-                    _ => {}
+        lookup: impl Fn(&str) -> Result<Option<(Arc<PreparedQuery>, bool)>>,
+    ) -> Result<Option<Resolved<'a>>> {
+        let canonical =
+            |text: &str| crate::normalize::canonicalize(text).unwrap_or_else(|| text.to_string());
+        let sql = match stmt {
+            Statement::Template { text, params } => {
+                let Some((prepared, cache_hit)) = lookup(&canonical(text))? else {
+                    return Ok(None);
+                };
+                if prepared.param_count != params.len() {
+                    return Err(ServerError::BadRequest(format!(
+                        "statement expects {} parameter(s), got {}",
+                        prepared.param_count,
+                        params.len()
+                    )));
                 }
+                let params = params.into();
+                return Ok(Some(Resolved::new(prepared, cache_hit, params, false)));
             }
-            let canonical = crate::normalize::canonicalize(sql).unwrap_or_else(|| sql.to_string());
-            let (prepared, cache_hit) = self.prepare_text(&canonical, trace)?;
-            return Ok((prepared, cache_hit, Vec::new()));
+            Statement::Sql(sql) if !self.config.normalize_parameters => {
+                return Ok(lookup(sql)?.map(Resolved::literal));
+            }
+            Statement::Sql(sql) => sql,
+        };
+        let template = {
+            let _span = trace.span("normalize");
+            self.memo().get_or_compute(sql)
+        };
+        let had_template = template.is_some();
+        if let Some(n) = template {
+            match lookup(&n.template) {
+                Ok(None) => return Ok(None),
+                Ok(Some((prepared, cache_hit))) if prepared.param_count == n.params.len() => {
+                    let normalized = n.has_params();
+                    let params = n.params.into();
+                    return Ok(Some(Resolved::new(prepared, cache_hit, params, normalized)));
+                }
+                // The template didn't prepare (a literal whose placeholder
+                // type is uninferable, like `SELECT id, 5`) or its arity
+                // surprised us: fall back to the literal text.
+                _ => {}
+            }
         }
-        let (prepared, cache_hit) = self.prepare_text(sql, trace)?;
-        Ok((prepared, cache_hit, Vec::new()))
+        let fallback = lookup(&canonical(sql))?;
+        if had_template && fallback.is_some() {
+            self.memo().demote(sql);
+        }
+        Ok(fallback.map(Resolved::literal))
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, NormalizeMemo> {
+        self.normalize_memo
+            .lock()
+            .expect("no thread panics while holding the normalize memo")
+    }
+
+    /// [`Tenant::resolve`] through the counted plan cache, preparing on a
+    /// miss.
+    fn prepare_statement<'a>(
+        &self,
+        stmt: Statement<'a>,
+        trace: &SpanRecorder,
+    ) -> Result<Resolved<'a>> {
+        let resolved = self
+            .resolve(stmt, trace, |text| self.prepare_text(text, trace).map(Some))?
+            .expect("a preparing lookup never declines");
+        if resolved.normalized {
+            self.stats.record_normalized(resolved.cache_hit);
+        }
+        Ok(resolved)
     }
 
     /// Prepare exactly this text (template or literal SQL), consulting
     /// this tenant's plan cache keyed on (tenant, text, optimizer config).
-    pub(crate) fn prepare_text(
-        &self,
-        sql: &str,
-        trace: &SpanRecorder,
-    ) -> Result<(Arc<PreparedQuery>, bool)> {
+    fn prepare_text(&self, sql: &str, trace: &SpanRecorder) -> Result<(Arc<PreparedQuery>, bool)> {
         let _span = trace.span("plan-cache-lookup");
         let key = PlanKey {
             tenant: self.id.as_str().to_string(),
@@ -443,68 +556,6 @@ impl Tenant {
         ))
     }
 
-    /// Snapshot this tenant's result-cache epoch. Must happen **before**
-    /// the plan this request will execute is resolved; see
-    /// [`ResultCache::epoch`].
-    pub(crate) fn result_epoch(&self) -> u64 {
-        self.result_cache.epoch()
-    }
-
-    /// The body of a literal-SQL request, called with permits held.
-    pub(crate) fn execute_inner(
-        &self,
-        sql: &str,
-        start: Instant,
-        deadline_at: Option<Instant>,
-        trace: &SpanRecorder,
-    ) -> Result<ServerQueryResult> {
-        let result_epoch = self.result_epoch();
-        let (prepared, cache_hit, params) = self.prepare_normalized(sql, trace)?;
-        self.run_prepared(
-            prepared,
-            cache_hit,
-            &params,
-            start,
-            deadline_at,
-            result_epoch,
-            trace,
-        )
-    }
-
-    /// The body of a pre-parameterized request, called with permits held.
-    pub(crate) fn execute_params_inner(
-        &self,
-        template: &str,
-        params: &[Value],
-        start: Instant,
-        deadline_at: Option<Instant>,
-        trace: &SpanRecorder,
-    ) -> Result<ServerQueryResult> {
-        let result_epoch = self.result_epoch();
-        // Canonicalize spacing so a hand-written template and the
-        // normalizer's rendering of the equivalent literal query share
-        // one cache entry.
-        let canonical =
-            crate::normalize::canonicalize(template).unwrap_or_else(|| template.to_string());
-        let (prepared, cache_hit) = self.prepare_text(&canonical, trace)?;
-        if prepared.param_count != params.len() {
-            return Err(ServerError::BadRequest(format!(
-                "statement expects {} parameter(s), got {}",
-                prepared.param_count,
-                params.len()
-            )));
-        }
-        self.run_prepared(
-            prepared,
-            cache_hit,
-            params,
-            start,
-            deadline_at,
-            result_epoch,
-            trace,
-        )
-    }
-
     /// The result-cache key for one request: the tenant, the optimized
     /// plan's structure, this request's bound parameter values, and the
     /// current version of every model and table the plan depends on —
@@ -549,155 +600,148 @@ impl Tenant {
         self.plan_cache.peek(&key)
     }
 
-    /// Serve a literal-SQL request **entirely from warm caches**, or
-    /// decline. This is the reactor's inline fast path: it runs on the
-    /// event-loop thread, so it must never block (both admission rings
-    /// are probed with `try_admit`), never execute a plan, and never
-    /// mutate a cache. Any cold step — normalize memo miss is tolerated,
-    /// but a plan-cache or result-cache miss, an arity surprise, a
-    /// saturated ring, a reply larger than `max_bytes` (the connection's
-    /// remaining backlog room) — returns `None` and the request takes
-    /// the pooled path, which repeats the probes with full accounting.
+    /// The absolute deadline of a request that arrived at `start`: its
+    /// own, else the server's `admission.default_deadline`.
+    fn deadline_at(&self, start: Instant, deadline: Option<Duration>) -> Option<Instant> {
+        deadline
+            .or(self.config.admission.default_deadline)
+            .map(|d| start + d)
+    }
+
+    /// Serve one statement under both admission rings and an optional
+    /// deadline (falling back to `admission.default_deadline`).
+    ///
+    /// The request first acquires this tenant's **quota** permit — so a
+    /// tenant saturating its own allowance is rejected with a typed
+    /// [`ServerError::Overloaded`] before it can consume server-wide
+    /// capacity — then the **global** permit, then executes with a
+    /// cancellation token carrying the deadline. Each request lands as
+    /// `admitted` or in exactly one rejection bucket (the invariant the
+    /// stats reconcile on), and its trace is finished here whatever the
+    /// outcome: rejected and failed requests are captured (sampled or
+    /// slow) with whatever spans they accumulated before the error.
+    pub fn serve(
+        &self,
+        stmt: Statement<'_>,
+        deadline: Option<Duration>,
+    ) -> Result<ServerQueryResult> {
+        let start = Instant::now();
+        let deadline_at = self.deadline_at(start, deadline);
+        let trace = self.trace_sink.begin();
+        // Ring 1 (tenant quota) before ring 2 (global): a permit held at
+        // the global ring while blocked on a tenant quota would let a
+        // saturated tenant occupy server-wide capacity. Admission
+        // rejections are recorded as per-tenant outcomes, not query
+        // errors: the request was never executed.
+        let rings = {
+            let _span = trace.span("tenant-quota-wait");
+            self.quota.admit(deadline_at)
+        }
+        .and_then(|tenant_permit| {
+            let _span = trace.span("global-admission-wait");
+            Ok((tenant_permit, self.global.admit(deadline_at)?))
+        });
+        let _permits = match rings {
+            Ok(permits) => permits,
+            Err(e) => {
+                self.stats.record_rejection(&e);
+                let total = start.elapsed();
+                self.trace_sink
+                    .finish(trace, self.id.as_str(), stmt.text(), total);
+                return Err(e);
+            }
+        };
+        self.stats.record_admitted();
+        // The result-cache epoch is snapshotted before the plan this
+        // request executes is resolved; see [`ResultCache::epoch`].
+        let result_epoch = self.result_cache.epoch();
+        let outcome = self.prepare_statement(stmt, &trace).and_then(|resolved| {
+            self.run_prepared(resolved, start, deadline_at, result_epoch, &trace)
+        });
+        let total = match &outcome {
+            Ok(result) => result.total_time,
+            Err(_) => {
+                self.stats.record_error();
+                start.elapsed()
+            }
+        };
+        self.trace_sink
+            .finish(trace, self.id.as_str(), stmt.text(), total);
+        outcome
+    }
+
+    /// Serve a statement **entirely from warm caches**, or decline. This
+    /// is the reactor's inline fast path: it runs on the event-loop
+    /// thread, so it must never block (both admission rings are probed
+    /// with `try_admit`), never execute a plan, and never prepare one.
+    /// It resolves `stmt` like [`Tenant::serve`], peeking where serve
+    /// would prepare; any cold step — a plan-cache or result-cache miss,
+    /// an arity surprise, a saturated ring, an expired deadline, a reply
+    /// larger than `max_bytes` (the connection's remaining backlog room)
+    /// — returns `None` and the request takes the pooled path, which
+    /// repeats the probes with full accounting.
     ///
     /// Accounting parity is the contract here: a committed fast-path
     /// query is indistinguishable in every counter from a pooled
     /// result-cache hit (admitted, plan hit, normalized, result hit,
     /// query latency/rows, trace begin/finish) — the equivalence and
     /// stress suites assert these reconcile exactly.
-    pub(crate) fn serve_cached_fast(
+    pub fn try_serve_cached(
         &self,
-        sql: &str,
-        start: Instant,
-        deadline_at: Option<Instant>,
+        stmt: Statement<'_>,
+        deadline: Option<Duration>,
         max_bytes: usize,
-        global: &AdmissionController,
     ) -> Option<ServerQueryResult> {
         if self.config.result_cache_capacity == 0 {
             return None;
         }
-        let (prepared, params, normalized) = if self.config.normalize_parameters {
-            match self.normalize_memo.lock().unwrap().get_or_compute(sql) {
-                Some(n) => {
-                    let prepared = self.peek_prepared(&n.template)?;
-                    if prepared.param_count != n.params.len() {
-                        // Arity surprise: the pooled path falls back to
-                        // the literal text; let it.
-                        return None;
-                    }
-                    let has_params = n.has_params();
-                    (prepared, n.params, has_params)
-                }
-                None => {
-                    let canonical =
-                        crate::normalize::canonicalize(sql).unwrap_or_else(|| sql.to_string());
-                    (self.peek_prepared(&canonical)?, Vec::new(), false)
-                }
-            }
-        } else {
-            (self.peek_prepared(sql)?, Vec::new(), false)
-        };
-        self.commit_cached_fast(
-            prepared,
-            params,
-            normalized,
-            sql,
-            start,
-            deadline_at,
-            max_bytes,
-            global,
-        )
-    }
-
-    /// [`Tenant::serve_cached_fast`] for the pre-parameterized wire path.
-    pub(crate) fn serve_cached_fast_params(
-        &self,
-        template: &str,
-        params: &[Value],
-        start: Instant,
-        deadline_at: Option<Instant>,
-        max_bytes: usize,
-        global: &AdmissionController,
-    ) -> Option<ServerQueryResult> {
-        if self.config.result_cache_capacity == 0 {
+        let start = Instant::now();
+        let deadline_at = self.deadline_at(start, deadline);
+        let peek = |text: &str| Ok(self.peek_prepared(text).map(|prepared| (prepared, true)));
+        // A typed error (a template's arity) declines too: the pooled
+        // path reports it.
+        let resolved = self.resolve(stmt, &SpanRecorder::disabled(), peek).ok()??;
+        if !resolved.prepared.determinism.cacheable {
             return None;
         }
-        let canonical =
-            crate::normalize::canonicalize(template).unwrap_or_else(|| template.to_string());
-        let prepared = self.peek_prepared(&canonical)?;
-        if prepared.param_count != params.len() {
-            // Let the pooled path produce the typed BadRequest.
-            return None;
-        }
-        self.commit_cached_fast(
-            prepared,
-            params.to_vec(),
-            false,
-            template,
-            start,
-            deadline_at,
-            max_bytes,
-            global,
-        )
-    }
-
-    /// Shared tail of the fast path: result-cache peek, both admission
-    /// rings (non-blocking), then commit every counter the pooled
-    /// result-cache-hit path would have recorded.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_cached_fast(
-        &self,
-        prepared: Arc<PreparedQuery>,
-        params: Vec<Value>,
-        normalized: bool,
-        trace_sql: &str,
-        start: Instant,
-        deadline_at: Option<Instant>,
-        max_bytes: usize,
-        global: &AdmissionController,
-    ) -> Option<ServerQueryResult> {
-        if !prepared.determinism.cacheable {
-            return None;
-        }
-        let fingerprint = self.result_fingerprint(&prepared, &params);
+        let fingerprint = self.result_fingerprint(&resolved.prepared, &resolved.params);
         let (table, bytes) = self.result_cache.peek(&fingerprint)?;
         if bytes > max_bytes {
             // The reply may not fit the connection's backlog budget;
             // the pooled path's streaming backpressure handles it.
             return None;
         }
-        if let Some(at) = deadline_at {
-            if Instant::now() >= at {
-                // Expired on arrival: the pooled path records the typed
-                // rejection.
-                return None;
-            }
+        if deadline_at.is_some_and(|at| Instant::now() >= at) {
+            // Expired on arrival: the pooled path records the typed
+            // rejection.
+            return None;
         }
         // Ring 1 (tenant quota) before ring 2 (global), same order as the
         // pooled path; nothing is counted until both are held.
         let _tenant_permit = self.quota.try_admit()?;
-        let _global_permit = global.try_admit()?;
+        let _global_permit = self.global.try_admit()?;
         self.quota.note_admitted();
-        global.note_admitted();
+        self.global.note_admitted();
         // Commit: from here the request *is* served, and every counter
         // mirrors a pooled result-cache hit.
         let trace = self.trace_sink.begin();
         self.stats.record_admitted();
         self.plan_cache.note_hit();
-        if normalized {
+        if resolved.normalized {
             self.stats.record_normalized(true);
         }
         self.result_cache.note_hit();
         let total_time = start.elapsed();
         self.stats.record_query(total_time, table.num_rows());
         self.trace_sink
-            .finish(trace, self.id.as_str(), trace_sql, total_time);
+            .finish(trace, self.id.as_str(), stmt.text(), total_time);
         Some(ServerQueryResult {
             table,
             total_time,
             exec_time: total_time,
             cache_hit: true,
             result_cache_hit: true,
-            prepared,
+            prepared: resolved.prepared,
         })
     }
 
@@ -705,17 +749,20 @@ impl Tenant {
     /// deadline's cancellation token, routing deterministic plans through
     /// this tenant's result cache. See the pre-tenancy contract on
     /// [`ResultCache::get_or_execute`] — unchanged, now per tenant.
-    #[allow(clippy::too_many_arguments)]
     fn run_prepared(
         &self,
-        prepared: Arc<PreparedQuery>,
-        cache_hit: bool,
-        params: &[Value],
+        resolved: Resolved<'_>,
         start: Instant,
         deadline_at: Option<Instant>,
         result_epoch: u64,
         trace: &SpanRecorder,
     ) -> Result<ServerQueryResult> {
+        let Resolved {
+            prepared,
+            cache_hit,
+            params,
+            ..
+        } = resolved;
         let exec_start = Instant::now();
         let cancel = match deadline_at {
             Some(at) => CancelToken::with_deadline(at),
@@ -732,7 +779,7 @@ impl Tenant {
         let (table, result_cache_hit) = if caching && prepared.determinism.cacheable {
             let fingerprint = {
                 let _span = trace.span("fingerprint");
-                self.result_fingerprint(&prepared, params)
+                self.result_fingerprint(&prepared, &params)
             };
             let deps = ResultDeps {
                 models: prepared.model_deps.clone(),
@@ -753,7 +800,7 @@ impl Tenant {
                     || cancel.check(),
                     || {
                         self.executor
-                            .execute_traced(&prepared.plan, params, &cancel, trace)
+                            .execute_traced(&prepared.plan, &params, &cancel, trace)
                     },
                 )
                 .map_err(map_exec_err)?
@@ -763,7 +810,7 @@ impl Tenant {
             }
             let table = self
                 .executor
-                .execute_traced(&prepared.plan, params, &cancel, trace)
+                .execute_traced(&prepared.plan, &params, &cancel, trace)
                 .map_err(map_exec_err)?;
             (Arc::new(table), false)
         };
@@ -781,44 +828,26 @@ impl Tenant {
     }
 
     /// Score one raw feature row against `model` via this tenant's
-    /// micro-batcher (blocks until the coalesced batch completes). The
-    /// request participates in tracing like a query: sampled scores get
-    /// a span tree (queue wait + scorer invocation) and slow ones land
-    /// in the slow-query ring under the synthetic SQL `score:<model>`.
-    pub fn score_row(&self, model: &str, row: Vec<f64>) -> Result<f64> {
-        self.score_row_with_deadline(model, row, None)
-    }
-
-    /// [`Tenant::score_row`] under an SLO: `deadline` (or, when `None`,
-    /// the server's `admission.default_deadline`) bounds the whole
-    /// batched round-trip. The batcher sheds the request typed — at
-    /// enqueue when the cost model predicts a miss, at flush when the
-    /// deadline expired while queued — and the wait itself times out
-    /// instead of blocking past the deadline.
-    pub fn score_row_with_deadline(
-        &self,
-        model: &str,
-        row: Vec<f64>,
-        deadline: Option<Duration>,
-    ) -> Result<f64> {
+    /// micro-batcher, blocking until the coalesced batch completes.
+    /// `deadline` (or, when `None`, the server's
+    /// `admission.default_deadline`) bounds the whole batched round-trip:
+    /// the batcher sheds the request typed — at enqueue when the cost
+    /// model predicts a miss, at flush when the deadline expired while
+    /// queued — and the wait itself times out instead of blocking past
+    /// the deadline. The request is traced like a query: sampled scores
+    /// get a span tree (queue wait + scorer invocation) and slow ones
+    /// land in the slow-query ring under the synthetic SQL
+    /// `score:<model>`.
+    pub fn score(&self, model: &str, row: Vec<f64>, deadline: Option<Duration>) -> Result<f64> {
         let start = Instant::now();
-        let deadline_at = deadline
-            .or(self.config.admission.default_deadline)
-            .map(|d| start + d);
+        let deadline_at = self.deadline_at(start, deadline);
         if self.trace_sink.config().sample_every == 0 {
             // Tracing off: the plain path, no per-request allocation.
-            return self.batcher.score_with_deadline(
-                model,
-                row,
-                deadline_at,
-                None,
-                &SpanRecorder::disabled(),
-            );
+            let untraced = SpanRecorder::disabled();
+            return self.batcher.score(model, row, deadline_at, None, &untraced);
         }
         let trace = self.trace_sink.begin();
-        let outcome = self
-            .batcher
-            .score_with_deadline(model, row, deadline_at, None, &trace);
+        let outcome = self.batcher.score(model, row, deadline_at, None, &trace);
         self.trace_sink.finish(
             trace,
             self.id.as_str(),
@@ -830,15 +859,15 @@ impl Tenant {
 
     /// Score one row of a wire `Score` frame **on the calling thread**,
     /// or decline — the reactor's point-scoring fast path, the `Score`
-    /// twin of [`Tenant::serve_cached_fast`]. Never blocks and never
+    /// twin of [`Tenant::try_serve_cached`]. Never blocks and never
     /// queues; the micro-batcher decides from the model's measured cost
     /// ([`MicroBatcher::try_score_inline`]) under the same effective
-    /// deadline [`Tenant::score_row`] would apply, and a declined probe
-    /// has counted nothing. A committed score is traced like a pooled
-    /// one (`score:<model>`, a `batcher-score` span), minus the queue.
-    pub(crate) fn try_score_inline(&self, model: &str, row: &[f64]) -> Option<Result<f64>> {
+    /// deadline [`Tenant::score`] would apply, and a declined probe has
+    /// counted nothing. A committed score is traced like a pooled one
+    /// (`score:<model>`, a `batcher-score` span), minus the queue.
+    pub fn try_score_inline(&self, model: &str, row: &[f64]) -> Option<Result<f64>> {
         let start = Instant::now();
-        let deadline_at = self.config.admission.default_deadline.map(|d| start + d);
+        let deadline_at = self.deadline_at(start, None);
         let (outcome, trace) = self
             .batcher
             .try_score_inline(model, row, deadline_at, || self.trace_sink.begin())?;
@@ -961,5 +990,25 @@ mod tests {
         assert!(quota.default_deadline.is_none());
         // Defaults keep single-tenant behavior: unlimited concurrency.
         assert_eq!(TenantQuotaConfig::default().max_concurrent, 0);
+    }
+
+    #[test]
+    fn normalize_memo_is_a_bounded_fifo() {
+        const CAP: usize = NORMALIZE_MEMO_CAP;
+        let mut memo = NormalizeMemo::default();
+        let text = |i: usize| format!("SELECT a FROM t WHERE a > {i}");
+        for i in 0..2 * CAP {
+            memo.get_or_compute(&text(i));
+        }
+        assert_eq!((memo.map.len(), memo.order.len()), (CAP, CAP));
+        // First in, first out: the first CAP texts are gone, the rest stay.
+        assert!((0..CAP).all(|i| !memo.map.contains_key(&text(i))));
+        assert!((CAP..2 * CAP).all(|i| memo.map.contains_key(&text(i))));
+        // Demoting a resident entry changes its value, not the bound.
+        let resident = text(2 * CAP - 1);
+        assert!(memo.map[&resident].is_some());
+        memo.demote(&resident);
+        assert!(memo.map[&resident].is_none());
+        assert_eq!((memo.map.len(), memo.order.len()), (CAP, CAP));
     }
 }

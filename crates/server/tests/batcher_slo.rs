@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use raven_server::{
     adaptive_flush_window, BatchConfig, BatcherStats, ServerConfig, ServerError, ServerState,
+    Tenant,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,17 +28,10 @@ fn linear_model(weights: &[f64]) -> raven_ml::Pipeline {
 /// Poll a tenant's batcher stats until `predicate` holds — the worker
 /// sheds expired requests at its next flush, shortly after the caller's
 /// own wait already timed out — or fail after 5 s.
-fn wait_for_stats(
-    server: &ServerState,
-    tenant: &str,
-    predicate: impl Fn(&BatcherStats) -> bool,
-) -> BatcherStats {
+fn wait_for_stats(tenant: &Tenant, predicate: impl Fn(&BatcherStats) -> bool) -> BatcherStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = server
-            .tenant(tenant)
-            .expect("tenant exists")
-            .batcher_stats();
+        let stats = tenant.batcher_stats();
         if predicate(&stats) {
             return stats;
         }
@@ -55,37 +49,30 @@ fn deadline_outcomes_reconcile_exactly() {
     // A deliberately long fixed window so a tight-deadline request
     // reliably expires *while queued* rather than being scored.
     let tenant = "slo";
-    server
+    let shard = server
         .tenant_with_batch(tenant, BatchConfig::fixed(64, Duration::from_millis(100)))
         .unwrap();
-    server
-        .store_model_in(tenant, "m", linear_model(&[2.0]))
-        .unwrap();
+    shard.store_model("m", linear_model(&[2.0])).unwrap();
 
     // Scored: no deadline, waits out the window, succeeds.
-    assert_eq!(
-        server
-            .score_row_with_deadline_in(tenant, "m", vec![3.0], None)
-            .unwrap(),
-        6.0
-    );
+    assert_eq!(shard.score("m", vec![3.0], None).unwrap(), 6.0);
     // Bad arity: individually rejected, typed.
     assert!(matches!(
-        server.score_row_with_deadline_in(tenant, "m", vec![1.0, 2.0], None),
+        shard.score("m", vec![1.0, 2.0], None),
         Err(ServerError::BadRequest(_))
     ));
     // Expired while queued: 5 ms of slack against a 100 ms window. The
     // cold-start cost prediction is tiny (one warm flush), so the
     // request is admitted — then sheds typed at flush time, after the
     // caller's own recv_timeout already returned typed.
-    let err = server
-        .score_row_with_deadline_in(tenant, "m", vec![1.0], Some(Duration::from_millis(5)))
+    let err = shard
+        .score("m", vec![1.0], Some(Duration::from_millis(5)))
         .unwrap_err();
     assert!(
         matches!(err, ServerError::DeadlineExceeded(_)),
         "queued-past-deadline must reject typed, got {err:?}"
     );
-    let stats = wait_for_stats(&server, tenant, |s| s.expired == 1);
+    let stats = wait_for_stats(&shard, |s| s.expired == 1);
     assert_eq!(
         stats.batched_rows, 1,
         "the expired row must never reach the scorer"
@@ -94,13 +81,12 @@ fn deadline_outcomes_reconcile_exactly() {
     // Shed at enqueue: teach the cost model that an invocation takes
     // 50 ms, then offer 1 ms of slack — a predicted miss, rejected
     // before it can occupy a queue slot.
-    let shard = server.tenant(tenant).unwrap();
     shard
         .metrics()
         .gauge("batcher_ewma_invocation_us")
         .set(50_000.0);
-    let err = server
-        .score_row_with_deadline_in(tenant, "m", vec![1.0], Some(Duration::from_millis(1)))
+    let err = shard
+        .score("m", vec![1.0], Some(Duration::from_millis(1)))
         .unwrap_err();
     assert!(
         matches!(err, ServerError::DeadlineExceeded(ref m) if m.contains("shed at enqueue")),
@@ -108,7 +94,7 @@ fn deadline_outcomes_reconcile_exactly() {
     );
 
     // Exact reconciliation: every request landed in exactly one bucket.
-    let stats = wait_for_stats(&server, tenant, |s| {
+    let stats = wait_for_stats(&shard, |s| {
         s.requests == s.batched_rows + s.bad_arity + s.shed + s.expired + s.failed
     });
     assert_eq!(stats.requests, 4);
@@ -148,28 +134,22 @@ fn per_tenant_batch_policies_coexist() {
     let server = Arc::new(ServerState::new(ServerConfig::for_tests()));
     // One latency-critical tenant on a tight fixed window, one
     // throughput tenant on an adaptive window with a 100 µs floor.
-    server
+    let rt = server
         .tenant_with_batch("rt", BatchConfig::fixed(8, Duration::from_micros(50)))
         .unwrap();
-    server
+    let bulk = server
         .tenant_with_batch(
             "bulk",
             BatchConfig::adaptive(64, Duration::from_micros(100), Duration::from_millis(2)),
         )
         .unwrap();
-    for tenant in ["rt", "bulk"] {
-        server
-            .store_model_in(tenant, "m", linear_model(&[1.0]))
-            .unwrap();
+    for tenant in [&rt, &bulk] {
+        tenant.store_model("m", linear_model(&[1.0])).unwrap();
         for i in 0..4 {
-            assert_eq!(
-                server.score_row_in(tenant, "m", vec![i as f64]).unwrap(),
-                i as f64
-            );
+            assert_eq!(tenant.score("m", vec![i as f64], None).unwrap(), i as f64);
         }
     }
-    let rt = server.tenant("rt").unwrap().batcher_stats();
-    let bulk = server.tenant("bulk").unwrap().batcher_stats();
+    let (rt, bulk) = (rt.batcher_stats(), bulk.batcher_stats());
     // Only the adaptive tenant makes window-sizing decisions; its chosen
     // window respects the configured floor.
     assert_eq!(rt.window_micros, 0.0);
@@ -193,23 +173,19 @@ fn per_tenant_batch_policies_coexist() {
 
 #[test]
 fn default_deadline_applies_to_point_scores() {
-    // With admission.default_deadline configured, a plain score_row_in
-    // call is deadline-bound even though the caller named none.
+    // With admission.default_deadline configured, a plain score call is
+    // deadline-bound even though the caller named none.
     let mut config = ServerConfig::for_tests();
     config.admission.default_deadline = Some(Duration::from_secs(30));
     config.batch = BatchConfig::default();
     let server = Arc::new(ServerState::new(config));
     server.store_model("m", linear_model(&[1.0])).unwrap();
+    let tenant = server.default_tenant();
     // A roomy default deadline scores normally...
-    assert_eq!(
-        server
-            .score_row_with_deadline("m", vec![5.0], None)
-            .unwrap(),
-        5.0
-    );
+    assert_eq!(tenant.score("m", vec![5.0], None).unwrap(), 5.0);
     // ...while an explicit zero-slack deadline sheds immediately.
-    let err = server
-        .score_row_with_deadline("m", vec![5.0], Some(Duration::ZERO))
+    let err = tenant
+        .score("m", vec![5.0], Some(Duration::ZERO))
         .unwrap_err();
     assert!(matches!(err, ServerError::DeadlineExceeded(_)));
 }

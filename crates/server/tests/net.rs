@@ -223,7 +223,7 @@ fn model_swap_mid_stream_is_visible_to_the_next_query() {
         vec![Column::Float64((0..100).map(|i| i as f64).collect())],
     )
     .unwrap();
-    state.register_table("t", table).unwrap();
+    state.catalog().register("t", table).unwrap();
     state.store_model("m", linear(vec![1.0], 0.0)).unwrap();
     let sql = "SELECT p.s FROM PREDICT(MODEL = 'm', DATA = t AS d) \
                WITH (s FLOAT) AS p WHERE p.s > 49";
@@ -284,7 +284,7 @@ fn score_prepare_and_shutdown_over_the_wire() {
         vec![Column::Float64(vec![1.0, 2.0])],
     )
     .unwrap();
-    state.register_table("t", table).unwrap();
+    state.catalog().register("t", table).unwrap();
     state.store_model("m", linear(vec![2.0], 0.5)).unwrap();
     let server = spawn(state, 2, 8);
     let addr = server.local_addr();

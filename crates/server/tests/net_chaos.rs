@@ -64,7 +64,7 @@ fn bulky_state(rows: usize) -> Arc<ServerState> {
         ],
     )
     .unwrap();
-    state.register_table("bulk", table).unwrap();
+    state.catalog().register("bulk", table).unwrap();
     state
 }
 

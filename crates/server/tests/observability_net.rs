@@ -74,7 +74,7 @@ fn slow_query_trace_stages_reconcile_with_total_latency() {
     let state = Arc::new(ServerState::new(observability_config()));
     // Enough rows that execution dominates and fixed per-request
     // overhead (frame decode, span bookkeeping) stays under the 10%.
-    state.register_table("t", table_of(200_000)).unwrap();
+    state.catalog().register("t", table_of(200_000)).unwrap();
     state.store_model("m", linear(1.0)).unwrap();
     let server = spawn(state.clone());
     let addr = server.local_addr();
@@ -144,8 +144,9 @@ fn slow_query_trace_stages_reconcile_with_total_latency() {
 fn metrics_frames_serve_tenant_and_aggregate_views() {
     let state = Arc::new(ServerState::new(observability_config()));
     for tenant in ["tenant-a", "tenant-b"] {
-        state.register_table_in(tenant, "t", table_of(100)).unwrap();
-        state.store_model_in(tenant, "m", linear(1.0)).unwrap();
+        let tenant = state.tenant(tenant).unwrap();
+        tenant.register_table("t", table_of(100)).unwrap();
+        tenant.store_model("m", linear(1.0)).unwrap();
     }
     let server = spawn(state.clone());
     let addr = server.local_addr();
@@ -208,7 +209,7 @@ fn metrics_frames_serve_tenant_and_aggregate_views() {
 #[test]
 fn pre_v5_peers_cannot_reach_observability_kinds() {
     let state = Arc::new(ServerState::new(observability_config()));
-    state.register_table("t", table_of(10)).unwrap();
+    state.catalog().register("t", table_of(10)).unwrap();
     state.store_model("m", linear(1.0)).unwrap();
     let server = spawn(state.clone());
     let addr = server.local_addr();

@@ -7,7 +7,10 @@
 use proptest::prelude::*;
 use raven_data::Value;
 use raven_datagen::{hospital, train};
-use raven_server::{NetConfig, RavenClient, RavenServer, ServerConfig, ServerError, ServerState};
+use raven_server::{
+    NetConfig, RavenClient, RavenServer, Result, ServerConfig, ServerError, ServerQueryResult,
+    ServerState, Statement,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,6 +46,15 @@ const TEMPLATE: &str = "\
     WITH (length_of_stay FLOAT) AS p \
     WHERE d.age > ? AND p.length_of_stay > ?";
 
+/// Serve [`TEMPLATE`] with `params` in the default tenant.
+fn serve_template(state: &ServerState, params: &[Value]) -> Result<ServerQueryResult> {
+    let stmt = Statement::Template {
+        text: TEMPLATE,
+        params,
+    };
+    state.default_tenant().serve(stmt, None)
+}
+
 fn sorted_ids(table: &raven_data::Table) -> Vec<i64> {
     let mut ids = table
         .column_by_name("d.id")
@@ -67,7 +79,7 @@ fn constant_workload_optimizes_once() {
         let result = state.execute(&sql).unwrap();
         rows_seen.push(result.table.num_rows());
     }
-    let stats = state.plan_cache_stats();
+    let stats = state.default_tenant().plan_cache_stats();
     assert_eq!(
         stats.preparations, 1,
         "one optimization for {N} constant variants: {stats}"
@@ -106,8 +118,11 @@ fn normalized_results_match_exact_text_results() {
     }
     // The exact-text server prepared every distinct text; the
     // normalizing one prepared a single template.
-    assert_eq!(normalizing.plan_cache_stats().preparations, 1);
-    assert_eq!(exact.plan_cache_stats().preparations, 4);
+    assert_eq!(
+        normalizing.default_tenant().plan_cache_stats().preparations,
+        1
+    );
+    assert_eq!(exact.default_tenant().plan_cache_stats().preparations, 4);
 }
 
 /// A fractional literal compared against an Int64 column must survive
@@ -134,8 +149,8 @@ fn fractional_literal_against_int_column_normalizes() {
 
 /// SQL that already carries `?` placeholders is not re-normalized (the
 /// positional indices would scramble against extracted constants), and
-/// `prepare` on a hand-written template warms exactly the cache entry
-/// `serve_with_params` hits — one preparation total.
+/// `prepare` on a hand-written template warms exactly the cache entry a
+/// `Statement::Template` serve hits — one preparation total.
 #[test]
 fn prepare_template_then_query_params_shares_one_entry() {
     let state = hospital_state(300, ServerConfig::for_tests());
@@ -145,45 +160,33 @@ fn prepare_template_then_query_params_shares_one_entry() {
         (hit, prepared)
     };
     assert!(!hit, "first prepare misses");
-    assert_eq!(state.plan_cache_stats().preparations, 1);
-    let reply = state
-        .serve_with_params(TEMPLATE, &[Value::Int64(30), Value::Float64(5.0)], None)
-        .unwrap();
+    assert_eq!(state.default_tenant().plan_cache_stats().preparations, 1);
+    let reply = serve_template(&state, &[Value::Int64(30), Value::Float64(5.0)]).unwrap();
     assert!(reply.cache_hit, "QueryParams hits the prepared entry");
     assert_eq!(
-        state.plan_cache_stats().preparations,
+        state.default_tenant().plan_cache_stats().preparations,
         1,
         "no second optimization"
     );
 }
 
-/// `serve_with_params` (the `QueryParams` path, minus the socket):
-/// template + typed values, with typed arity/type errors.
+/// A `Statement::Template` serve (the `QueryParams` path, minus the
+/// socket): template + typed values, with typed arity/type errors.
 #[test]
 fn serve_with_params_validates_arity_and_types() {
     let state = hospital_state(300, ServerConfig::for_tests());
-    let ok = state
-        .serve_with_params(TEMPLATE, &[Value::Int64(30), Value::Float64(5.0)], None)
-        .unwrap();
+    let ok = serve_template(&state, &[Value::Int64(30), Value::Float64(5.0)]).unwrap();
     let literal = state.execute(&literal_sql(30, 5.0)).unwrap();
     assert_eq!(sorted_ids(&ok.table), sorted_ids(&literal.table));
 
     // Wrong arity: typed BadRequest, counted as an error.
-    let err = state
-        .serve_with_params(TEMPLATE, &[Value::Int64(30)], None)
-        .unwrap_err();
+    let err = serve_template(&state, &[Value::Int64(30)]).unwrap_err();
     assert!(
         matches!(&err, ServerError::BadRequest(m) if m.contains("2 parameter")),
         "{err}"
     );
     // Wrong type: Utf8 into a Float64 slot.
-    let err = state
-        .serve_with_params(
-            TEMPLATE,
-            &[Value::Utf8("x".into()), Value::Float64(5.0)],
-            None,
-        )
-        .unwrap_err();
+    let err = serve_template(&state, &[Value::Utf8("x".into()), Value::Float64(5.0)]).unwrap_err();
     assert!(matches!(err, ServerError::Execution(_)), "{err}");
 }
 
@@ -251,8 +254,7 @@ proptest! {
         let served = state.execute(&sql).unwrap();
         prop_assert_eq!(sorted_ids(&baseline.table), sorted_ids(&served.table));
         // Explicit template path.
-        let explicit = state
-            .serve_with_params(TEMPLATE, &[Value::Int64(age), Value::Float64(stay)], None)
+        let explicit = serve_template(&state, &[Value::Int64(age), Value::Float64(stay)])
             .unwrap();
         prop_assert_eq!(sorted_ids(&baseline.table), sorted_ids(&explicit.table));
     }

@@ -13,7 +13,7 @@
 use raven_data::{Table, Value};
 use raven_datagen::{hospital, train};
 use raven_server::{
-    NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState,
+    NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState, Statement,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +53,13 @@ fn oracle(twin: &ServerState, thresholds: &[f64]) -> Vec<Table> {
     thresholds
         .iter()
         .map(|&t| {
-            let result = twin.serve_with_params(PARAM_SQL, &[Value::Float64(t)], None);
+            let result = twin.default_tenant().serve(
+                Statement::Template {
+                    text: PARAM_SQL,
+                    params: &[Value::Float64(t)],
+                },
+                None,
+            );
             result.unwrap().table.as_ref().clone()
         })
         .collect()

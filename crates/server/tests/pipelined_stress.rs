@@ -10,7 +10,7 @@
 use raven_data::Value;
 use raven_datagen::{hospital, train};
 use raven_server::{
-    NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState,
+    NetConfig, PipelinedClient, RavenClient, RavenServer, ServerConfig, ServerState, Statement,
 };
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -67,7 +67,13 @@ fn pipelined_fleet_stays_correct_at_full_budget() {
     let oracle: Vec<_> = THRESHOLDS
         .iter()
         .map(|&t| {
-            let result = twin.serve_with_params(PARAM_SQL, &[Value::Float64(t)], None);
+            let result = twin.default_tenant().serve(
+                Statement::Template {
+                    text: PARAM_SQL,
+                    params: &[Value::Float64(t)],
+                },
+                None,
+            );
             result.unwrap().table.as_ref().clone()
         })
         .collect();

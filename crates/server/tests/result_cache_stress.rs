@@ -47,7 +47,7 @@ fn hot_query_with_mid_stream_model_swap_never_serves_stale() {
         vec![Column::Float64((0..100).map(|i| i as f64).collect())],
     )
     .unwrap();
-    state.register_table("t", table).unwrap();
+    state.catalog().register("t", table).unwrap();
     state.store_model("m", linear(vec![1.0], 0.0)).unwrap();
 
     let server = RavenServer::bind(
@@ -162,7 +162,7 @@ fn hot_query_with_mid_stream_model_swap_never_serves_stale() {
 
     // In-process cross-check: the hot path really did skip execution —
     // far fewer executions than requests.
-    let cache = state.result_cache_stats();
+    let cache = state.default_tenant().result_cache_stats();
     assert!(
         cache.executions < total / 2,
         "single-flight + memoization should absorb most executions: {cache}"

@@ -1,6 +1,6 @@
 //! Run-to-completion point scoring: the reactor answers a `Score` frame
 //! on its own thread when the micro-batcher has measured the
-//! model's current version as cheap ([`ServerState::try_score_inline_in`]),
+//! model's current version as cheap ([`Tenant::try_score_inline`]),
 //! and hands everything else to the executor pool exactly as before.
 //!
 //! Covered here: inline ≡ pooled ≡ direct scores, how the path is chosen
@@ -206,7 +206,8 @@ fn inline_pooled_and_direct_scores_agree_bitwise() {
             for row in &rows {
                 let direct = pipeline.predict_raw(row, 1).unwrap()[0];
                 let wire = client.score(kind, row.clone()).unwrap();
-                let pooled = state.score_row(kind, row.clone()).unwrap();
+                let pooled = state.default_tenant().score(kind, row.clone(), None);
+                let pooled = pooled.unwrap();
                 assert_eq!(wire.to_bits(), direct.to_bits(), "{kind} seed {seed}");
                 assert_eq!(pooled.to_bits(), direct.to_bits(), "{kind} seed {seed}");
             }
@@ -285,7 +286,7 @@ fn mixed_concurrent_scores_reconcile_and_errors_are_byte_identical() {
         let Request::Score { model, row, .. } = request else {
             unreachable!()
         };
-        match twin.score_row(model, row.clone()) {
+        match twin.default_tenant().score(model, row.clone(), None) {
             Ok(value) => Response::Score { value },
             Err(e) => Response::from_error(&e),
         }
@@ -351,31 +352,27 @@ fn mixed_concurrent_scores_reconcile_and_errors_are_byte_identical() {
 fn an_inline_probe_never_creates_a_tenant_or_counts() {
     let state = ServerState::new(ServerConfig::for_tests());
     state.store_model("m", linear(&[1.0], 0.0)).unwrap();
-    assert!(state.try_score_inline_in("ghost", "m", &[1.0]).is_none());
+    // The reactor probes through `try_tenant`, which never creates one.
+    assert!(state.try_tenant("ghost").is_none());
     assert!(!state.tenants().iter().any(|t| t == "ghost"));
     // Unmeasured model, unknown model, bad arity: all decline.
-    assert!(state
-        .try_score_inline_in(DEFAULT_TENANT, "m", &[1.0])
-        .is_none());
-    assert!(state
-        .try_score_inline_in(DEFAULT_TENANT, "nope", &[1.0])
-        .is_none());
+    let tenant = state.try_tenant(DEFAULT_TENANT).unwrap();
+    assert!(tenant.try_score_inline("m", &[1.0]).is_none());
+    assert!(tenant.try_score_inline("nope", &[1.0]).is_none());
     assert_eq!(batcher(&state).requests, 0);
     // Measured through the pooled path, it commits — until the arity is
     // wrong, which only the pooled path may answer (typed).
     for _ in 0..500 {
-        state.score_row("m", vec![4.0]).unwrap();
-        if let Some(outcome) = state.try_score_inline_in(DEFAULT_TENANT, "m", &[4.0]) {
+        tenant.score("m", vec![4.0], None).unwrap();
+        if let Some(outcome) = tenant.try_score_inline("m", &[4.0]) {
             assert_eq!(outcome.unwrap(), 4.0);
             break;
         }
     }
     assert_eq!(batcher(&state).inline, 1, "{:?}", batcher(&state));
-    assert!(state
-        .try_score_inline_in(DEFAULT_TENANT, "m", &[4.0, 4.0])
-        .is_none());
+    assert!(tenant.try_score_inline("m", &[4.0, 4.0]).is_none());
     assert!(matches!(
-        state.score_row("m", vec![4.0, 4.0]),
+        tenant.score("m", vec![4.0, 4.0], None),
         Err(ServerError::BadRequest(_))
     ));
     assert!(reconciles(&batcher(&state)));
@@ -437,7 +434,7 @@ fn the_reactor_serves_cached_queries_while_an_expensive_score_is_pooled() {
     let mut querier = RavenClient::connect(addr).unwrap();
     querier.query(sql).unwrap();
     querier.query(sql).unwrap();
-    let hits = state.result_cache_stats().hits;
+    let hits = state.default_tenant().result_cache_stats().hits;
     assert_eq!(hits, 1, "the repeat must be a result-cache hit");
 
     // Measure the forest (one full window), then put its next score in
@@ -452,7 +449,7 @@ fn the_reactor_serves_cached_queries_while_an_expensive_score_is_pooled() {
         std::thread::yield_now();
     }
     querier.query(sql).unwrap();
-    assert_eq!(state.result_cache_stats().hits, hits + 1);
+    assert_eq!(state.default_tenant().result_cache_stats().hits, hits + 1);
     let stats = batcher(&state);
     assert_eq!(
         (stats.batched_rows, stats.inline),

@@ -60,7 +60,7 @@ fn concurrent_clients_share_one_prepared_plan() {
         "every client sees identical results: {all_counts:?}"
     );
 
-    let cache = server.plan_cache_stats();
+    let cache = server.default_tenant().plan_cache_stats();
     assert_eq!(cache.preparations, 1, "optimization ran exactly once");
     // Every client can miss at most once (its very first lookup, while
     // the single preparation is in flight); everything else hits.
@@ -212,7 +212,10 @@ fn micro_batched_point_scores_agree_with_sql() {
         .map(|&id| {
             let server = server.clone();
             let row: Vec<f64> = columns.iter().map(|c| c[id as usize]).collect();
-            std::thread::spawn(move || server.score_row("duration_of_stay", row).unwrap())
+            std::thread::spawn(move || {
+                let tenant = server.default_tenant();
+                tenant.score("duration_of_stay", row, None).unwrap()
+            })
         })
         .collect();
     for (h, &expected) in handles.into_iter().zip(&reference) {
@@ -223,7 +226,7 @@ fn micro_batched_point_scores_agree_with_sql() {
         );
     }
 
-    let stats = server.batcher_stats();
+    let stats = server.default_tenant().batcher_stats();
     assert_eq!(stats.requests, ids.len() as u64);
     assert!(
         stats.batches < stats.requests,

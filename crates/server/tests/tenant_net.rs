@@ -44,10 +44,9 @@ fn table_of(n: i64) -> Table {
 fn two_tenant_state(config: ServerConfig) -> Arc<ServerState> {
     let state = Arc::new(ServerState::new(config));
     for tenant in ["tenant-a", "tenant-b"] {
-        state.register_table_in(tenant, "t", table_of(100)).unwrap();
-        state
-            .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-            .unwrap();
+        let tenant = state.tenant(tenant).unwrap();
+        tenant.register_table("t", table_of(100)).unwrap();
+        tenant.store_model("m", linear(vec![1.0], 0.0)).unwrap();
     }
     state
 }
@@ -132,7 +131,9 @@ fn tenant_a_swap_invalidates_zero_of_tenant_b() {
     std::thread::sleep(Duration::from_millis(15));
     // v2 scores every row at 100: all 100 rows pass A's filter.
     state
-        .store_model_in("tenant-a", "m", linear(vec![0.0], 100.0))
+        .tenant("tenant-a")
+        .unwrap()
+        .store_model("m", linear(vec![0.0], 100.0))
         .unwrap();
     swapped.store(true, Ordering::SeqCst);
 
@@ -284,7 +285,7 @@ fn wire_tenants_are_bounded_and_validated() {
     let mut config = ServerConfig::for_tests();
     config.max_tenants = 2; // default + one
     let state = Arc::new(ServerState::new(config));
-    state.register_table("t", table_of(10)).unwrap();
+    state.catalog().register("t", table_of(10)).unwrap();
     let server = spawn(state.clone(), 4);
     let addr = server.local_addr();
 

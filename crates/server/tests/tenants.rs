@@ -12,8 +12,21 @@
 use raven_data::{Column, DataType, Schema, Table};
 use raven_ml::featurize::Transform;
 use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel, Pipeline};
-use raven_server::{ServerConfig, ServerState, TenantQuotaConfig};
+use raven_server::{
+    ServerConfig, ServerQueryResult, ServerState, Statement, Tenant, TenantQuotaConfig,
+};
 use std::sync::Arc;
+
+/// Give `tenant` the table `t` of `rows` rows and the model `m`.
+fn populate(tenant: &Tenant, rows: i64, model: Pipeline) {
+    tenant.register_table("t", table_of(rows)).unwrap();
+    tenant.store_model("m", model).unwrap();
+}
+
+/// Serve [`SQL`] in `tenant`, with no deadline.
+fn serve(tenant: &Tenant) -> ServerQueryResult {
+    tenant.serve(Statement::Sql(SQL), None).unwrap()
+}
 
 fn linear(w: Vec<f64>, b: f64) -> Pipeline {
     let steps = (0..w.len())
@@ -44,8 +57,7 @@ struct Oracle {
 impl Oracle {
     fn new(rows: i64, weight: f64, bias: f64) -> Oracle {
         let server = ServerState::new(ServerConfig::for_tests());
-        server.register_table("t", table_of(rows)).unwrap();
-        server.store_model("m", linear(vec![weight], bias)).unwrap();
+        populate(server.default_tenant(), rows, linear(vec![weight], bias));
         Oracle { server }
     }
 }
@@ -63,19 +75,14 @@ fn same_named_objects_always_get_their_own_results() {
     let specs = [("alpha", 100i64, 1.0, 0.0), ("beta", 40, 3.0, 0.0)];
     let mut oracles = Vec::new();
     for (tenant, rows, w, b) in specs {
-        server
-            .register_table_in(tenant, "t", table_of(rows))
-            .unwrap();
-        server
-            .store_model_in(tenant, "m", linear(vec![w], b))
-            .unwrap();
+        populate(&server.tenant(tenant).unwrap(), rows, linear(vec![w], b));
         oracles.push((tenant, Oracle::new(rows, w, b)));
     }
     // Interleave repeatedly so both plan and result caches are hot in
     // both tenants while the other tenant keeps querying.
     for round in 0..6 {
         for (tenant, oracle) in &oracles {
-            let ours = server.execute_in(tenant, SQL).unwrap();
+            let ours = serve(&server.tenant(tenant).unwrap());
             let truth = oracle.server.execute(SQL).unwrap();
             assert_eq!(
                 ours.table, truth.table,
@@ -105,33 +112,24 @@ fn same_named_objects_always_get_their_own_results() {
 #[test]
 fn mutations_in_one_tenant_invalidate_nothing_elsewhere() {
     let server = ServerState::new(ServerConfig::for_tests());
-    for tenant in ["alpha", "beta"] {
-        server
-            .register_table_in(tenant, "t", table_of(100))
-            .unwrap();
-        server
-            .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-            .unwrap();
+    let [alpha, beta] = ["alpha", "beta"].map(|t| server.tenant(t).unwrap());
+    for tenant in [&alpha, &beta] {
+        populate(tenant, 100, linear(vec![1.0], 0.0));
     }
     // Warm both tenants' caches.
-    assert_eq!(
-        server.execute_in("alpha", SQL).unwrap().table.num_rows(),
-        89
-    );
-    assert_eq!(server.execute_in("beta", SQL).unwrap().table.num_rows(), 89);
+    assert_eq!(serve(&alpha).table.num_rows(), 89);
+    assert_eq!(serve(&beta).table.num_rows(), 89);
 
     // Swap alpha's model (+100 to every score) and replace alpha's table.
-    server
-        .store_model_in("alpha", "m", linear(vec![1.0], 100.0))
-        .unwrap();
-    server.replace_table_in("alpha", "t", table_of(30)).unwrap();
+    alpha.store_model("m", linear(vec![1.0], 100.0)).unwrap();
+    alpha.replace_table("t", table_of(30));
 
     // Alpha re-prepares and re-executes with the new objects…
-    let alpha = server.execute_in("alpha", SQL).unwrap();
+    let alpha = serve(&alpha);
     assert!(!alpha.cache_hit && !alpha.result_cache_hit);
     assert_eq!(alpha.table.num_rows(), 30, "every biased score passes");
     // …while beta's entries survived untouched and still hit.
-    let beta = server.execute_in("beta", SQL).unwrap();
+    let beta = serve(&beta);
     assert!(beta.cache_hit, "beta's plan must survive alpha's mutations");
     assert!(
         beta.result_cache_hit,
@@ -163,19 +161,14 @@ fn concurrent_tenants_do_not_share_fate() {
     let server = Arc::new(ServerState::new(ServerConfig::for_tests()));
     for (i, tenant) in READER_TENANTS.iter().enumerate() {
         let rows = 20 + 10 * i as i64;
-        server
-            .register_table_in(tenant, "t", table_of(rows))
-            .unwrap();
-        server
-            .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-            .unwrap();
+        populate(
+            &server.tenant(tenant).unwrap(),
+            rows,
+            linear(vec![1.0], 0.0),
+        );
     }
-    server
-        .register_table_in("writer", "t", table_of(100))
-        .unwrap();
-    server
-        .store_model_in("writer", "m", linear(vec![1.0], 0.0))
-        .unwrap();
+    let writer = server.tenant("writer").unwrap();
+    populate(&writer, 100, linear(vec![1.0], 0.0));
 
     let readers: Vec<_> = READER_TENANTS
         .iter()
@@ -184,8 +177,9 @@ fn concurrent_tenants_do_not_share_fate() {
             let server = server.clone();
             std::thread::spawn(move || {
                 let expect = (20 + 10 * i as i64 - 11).max(0) as usize;
+                let tenant_shard = server.tenant(tenant).unwrap();
                 for q in 0..QUERIES {
-                    let result = server.execute_in(tenant, SQL).unwrap();
+                    let result = serve(&tenant_shard);
                     assert_eq!(
                         result.table.num_rows(),
                         expect,
@@ -195,17 +189,14 @@ fn concurrent_tenants_do_not_share_fate() {
             })
         })
         .collect();
-    let writer = {
-        let server = server.clone();
-        std::thread::spawn(move || {
-            for i in 0..10 {
-                server
-                    .store_model_in("writer", "m", linear(vec![1.0], i as f64))
-                    .unwrap();
-                server.execute_in("writer", SQL).unwrap();
-            }
-        })
-    };
+    let writer = std::thread::spawn(move || {
+        for i in 0..10 {
+            writer
+                .store_model("m", linear(vec![1.0], i as f64))
+                .unwrap();
+            serve(&writer);
+        }
+    });
     for handle in readers {
         handle.join().expect("reader tenant failed");
     }
@@ -241,17 +232,14 @@ fn per_tenant_quota_only_rejects_its_own_tenant() {
     let mut config = ServerConfig::for_tests();
     config.tenant_quota = TenantQuotaConfig::strict(1);
     let server = ServerState::new(config);
-    for tenant in ["noisy", "quiet"] {
-        server.register_table_in(tenant, "t", table_of(50)).unwrap();
-        server
-            .store_model_in(tenant, "m", linear(vec![1.0], 0.0))
-            .unwrap();
+    let [noisy, quiet] = ["noisy", "quiet"].map(|t| server.tenant(t).unwrap());
+    for tenant in [&noisy, &quiet] {
+        populate(tenant, 50, linear(vec![1.0], 0.0));
     }
-    let noisy = server.tenant("noisy").unwrap();
     let _held = noisy.quota().admit(None).unwrap(); // saturate noisy's quota
     for _ in 0..5 {
-        assert!(server.serve_in("noisy", SQL, None).is_err());
-        assert!(server.serve_in("quiet", SQL, None).is_ok());
+        assert!(noisy.serve(Statement::Sql(SQL), None).is_err());
+        assert!(quiet.serve(Statement::Sql(SQL), None).is_ok());
     }
     let noisy_stats = server.tenant_stats("noisy").unwrap();
     let quiet_stats = server.tenant_stats("quiet").unwrap();

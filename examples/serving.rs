@@ -115,7 +115,8 @@ fn main() {
                     let patient = (t * 1_000 + i * 37) % 20_000;
                     let row: Vec<f64> = columns.iter().map(|c| c[patient]).collect();
                     let stay = server
-                        .score_row("duration_of_stay", row)
+                        .default_tenant()
+                        .score("duration_of_stay", row, None)
                         .expect("point score");
                     assert!(stay.is_finite());
                 }
@@ -145,7 +146,7 @@ fn main() {
     }
     // 5. Parameterized prepared statements: production traffic differs
     // only in constants, and all of it rides one prepared template plan.
-    let before = server.plan_cache_stats().preparations;
+    let before = server.default_tenant().plan_cache_stats().preparations;
     for stay in [2.0, 4.0, 6.0, 8.0] {
         let reply = client
             .query_params(
@@ -167,7 +168,7 @@ fn main() {
             reply.cache_hit
         );
     }
-    let after = server.plan_cache_stats().preparations;
+    let after = server.default_tenant().plan_cache_stats().preparations;
     println!(
         "4 distinct constants cost {} optimization(s)",
         after - before
@@ -177,20 +178,18 @@ fn main() {
     // model *name*, different parameters — every frame carries the
     // tenant, and each team reads only its own namespace.
     for (tenant, weight) in [("team-a", 1.0), ("team-b", 100.0)] {
-        server
-            .register_table_in(
-                tenant,
-                "readings",
-                raven_data::Table::try_new(
-                    raven_data::Schema::from_pairs(&[("x0", raven_data::DataType::Float64)])
-                        .into_shared(),
-                    vec![raven_data::Column::Float64(vec![1.0, 2.0, 3.0])],
-                )
-                .expect("tenant table"),
+        let team = server.tenant(tenant).expect("tenant");
+        team.register_table(
+            "readings",
+            raven_data::Table::try_new(
+                raven_data::Schema::from_pairs(&[("x0", raven_data::DataType::Float64)])
+                    .into_shared(),
+                vec![raven_data::Column::Float64(vec![1.0, 2.0, 3.0])],
             )
-            .expect("register tenant table");
-        server
-            .store_model_in(tenant, "scorer", linear_model(weight))
+            .expect("tenant table"),
+        )
+        .expect("register tenant table");
+        team.store_model("scorer", linear_model(weight))
             .expect("store tenant model");
     }
     let tenant_sql =
@@ -216,7 +215,8 @@ fn main() {
     // A swap in team-a invalidates nothing in team-b (per-tenant
     // counters over the wire prove it).
     server
-        .store_model_in("team-a", "scorer", linear_model(7.0))
+        .tenant("team-a")
+        .and_then(|team| team.store_model("scorer", linear_model(7.0)))
         .expect("swap team-a");
     let mut observer = RavenClient::connect(addr).expect("connect");
     let a = observer.stats_for("team-a").expect("stats team-a");
@@ -279,7 +279,7 @@ fn main() {
     println!(
         "after a model update the repeat re-executes (result hit: {}), {}",
         fresh.result_cache_hit,
-        server.result_cache_stats(),
+        server.default_tenant().result_cache_stats(),
     );
 
     // 9. SLO-aware micro-batching: a dedicated tenant on the adaptive
@@ -308,11 +308,7 @@ fn main() {
                     let mut ok = 0usize;
                     let mut rejected = 0usize;
                     for i in 0..8 {
-                        match edge.score_row_with_deadline(
-                            "risk",
-                            vec![(t * 8 + i) as f64],
-                            deadline,
-                        ) {
+                        match edge.score("risk", vec![(t * 8 + i) as f64], deadline) {
                             Ok(_) => ok += 1,
                             Err(_) => rejected += 1,
                         }

@@ -126,8 +126,8 @@ proptest! {
         }
         // The differential run only proves something if the cached
         // server actually served from the cache.
-        let stats = cached.result_cache_stats();
-        prop_assert_eq!(uncached.result_cache_stats().executions, 0);
+        let stats = cached.default_tenant().result_cache_stats();
+        prop_assert_eq!(uncached.default_tenant().result_cache_stats().executions, 0);
         prop_assert!(
             stats.executions > 0,
             "workload never executed anything: {}", stats
@@ -162,7 +162,7 @@ fn repeat_workload_hits_at_least_ninety_percent() {
             );
         }
     }
-    let stats = server.result_cache_stats();
+    let stats = server.default_tenant().result_cache_stats();
     assert_eq!(stats.executions, constants.len() as u64);
     assert_eq!(stats.hits, (constants.len() * (ROUNDS - 1)) as u64);
     assert!(
@@ -170,7 +170,7 @@ fn repeat_workload_hits_at_least_ninety_percent() {
         "repeat workload must hit ≥ 90%: {stats}"
     );
     // One preparation too: the template plan cache composes underneath.
-    assert_eq!(server.plan_cache_stats().preparations, 1);
+    assert_eq!(server.default_tenant().plan_cache_stats().preparations, 1);
 }
 
 /// A mutation between two identical queries must be visible immediately:
@@ -194,7 +194,7 @@ fn invalidation_is_immediately_visible() {
     apply(&cached, &swap);
     apply(&uncached, &swap);
     assert_eq!(apply(&cached, &op), apply(&uncached, &op));
-    let stats = cached.result_cache_stats();
+    let stats = cached.default_tenant().result_cache_stats();
     assert!(
         stats.invalidations > 0,
         "mutations must invalidate: {stats}"
