@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks: individual rules, substrates, and rule
-//! on/off ablations (the design-choice studies DESIGN.md calls for).
+//! on/off ablations (the design-choice studies behind the simulated
+//! substrates listed under "Substitutions" in `ARCHITECTURE.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raven_core::{RavenSession, SessionConfig};

@@ -201,6 +201,11 @@ impl Column {
 
     /// Copy out the half-open row range `[start, end)`.
     pub fn slice(&self, start: usize, end: usize) -> Result<Column> {
+        Ok(self.range(start, end)?.to_column())
+    }
+
+    /// Borrow the half-open row range `[start, end)` without copying.
+    pub fn range(&self, start: usize, end: usize) -> Result<ColumnRef<'_>> {
         if end > self.len() || start > end {
             return Err(DataError::OutOfBounds {
                 index: end,
@@ -208,11 +213,21 @@ impl Column {
             });
         }
         Ok(match self {
-            Column::Int64(v) => Column::Int64(v[start..end].to_vec()),
-            Column::Float64(v) => Column::Float64(v[start..end].to_vec()),
-            Column::Bool(v) => Column::Bool(v[start..end].to_vec()),
-            Column::Utf8(v) => Column::Utf8(v[start..end].to_vec()),
+            Column::Int64(v) => ColumnRef::Int64(&v[start..end]),
+            Column::Float64(v) => ColumnRef::Float64(&v[start..end]),
+            Column::Bool(v) => ColumnRef::Bool(&v[start..end]),
+            Column::Utf8(v) => ColumnRef::Utf8(&v[start..end]),
         })
+    }
+
+    /// Borrow every row without copying.
+    pub fn view(&self) -> ColumnRef<'_> {
+        match self {
+            Column::Int64(v) => ColumnRef::Int64(v),
+            Column::Float64(v) => ColumnRef::Float64(v),
+            Column::Bool(v) => ColumnRef::Bool(v),
+            Column::Utf8(v) => ColumnRef::Utf8(v),
+        }
     }
 
     /// Append all rows of `other`; the types must match.
@@ -230,6 +245,53 @@ impl Column {
             }
         }
         Ok(())
+    }
+}
+
+/// A borrowed row range of a [`Column`]: the typed slice execution reads
+/// in place, so evaluating `dest = 'JFK'` copies no string.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ColumnRef<'a> {
+    Int64(&'a [i64]),
+    Float64(&'a [f64]),
+    Bool(&'a [bool]),
+    Utf8(&'a [String]),
+}
+
+impl ColumnRef<'_> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnRef::Int64(v) => v.len(),
+            ColumnRef::Float64(v) => v.len(),
+            ColumnRef::Bool(v) => v.len(),
+            ColumnRef::Utf8(v) => v.len(),
+        }
+    }
+
+    /// True if the range has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The column's data type.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnRef::Int64(_) => DataType::Int64,
+            ColumnRef::Float64(_) => DataType::Float64,
+            ColumnRef::Bool(_) => DataType::Bool,
+            ColumnRef::Utf8(_) => DataType::Utf8,
+        }
+    }
+
+    /// Copy the rows into an owned column.
+    pub fn to_column(&self) -> Column {
+        match self {
+            ColumnRef::Int64(v) => Column::Int64(v.to_vec()),
+            ColumnRef::Float64(v) => Column::Float64(v.to_vec()),
+            ColumnRef::Bool(v) => Column::Bool(v.to_vec()),
+            ColumnRef::Utf8(v) => Column::Utf8(v.to_vec()),
+        }
     }
 }
 
@@ -306,6 +368,11 @@ mod tests {
         assert_eq!(s.f64_values().unwrap(), &[2.0, 3.0]);
         assert!(c.slice(2, 5).is_err());
         assert_eq!(c.slice(2, 2).unwrap().len(), 0);
+        // The borrowed range reads the same rows in place.
+        assert_eq!(c.range(1, 3).unwrap(), ColumnRef::Float64(&[2.0, 3.0]));
+        assert!(c.range(3, 2).is_err());
+        assert_eq!(c.view().to_column(), c);
+        assert_eq!(c.view().data_type(), DataType::Float64);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! Design notes:
 //! * Columns are dense (no null bitmap). The paper's workloads — hospital
 //!   length-of-stay and flight delay — are fully materialized feature
-//!   tables, so nullability is out of scope; see `DESIGN.md`.
-//! * `Table` owns a single contiguous chunk per column. Execution splits
-//!   tables into [`RecordBatch`] morsels for parallel processing.
+//!   tables, so nullability is out of scope; see "Substitutions" in
+//!   `ARCHITECTURE.md`.
+//! * `Table` owns a single contiguous chunk per column. Execution reads
+//!   row ranges of it in place as [`ColumnRef`] slices (the morsels of
+//!   parallel operators) and copies only the rows an operator outputs.
 //! * Statistics ([`stats`]) power the paper's "derived predicates from data
 //!   properties" optimization (§4.1 of the paper).
 
@@ -28,7 +30,7 @@ pub mod types;
 
 pub use batch::RecordBatch;
 pub use catalog::Catalog;
-pub use column::Column;
+pub use column::{Column, ColumnRef};
 pub use error::DataError;
 pub use namespace::{CatalogShards, NamespaceMap};
 pub use schema::{Field, Schema};

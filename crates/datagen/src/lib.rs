@@ -2,7 +2,8 @@
 //!
 //! Deterministic synthetic workloads standing in for the paper's two
 //! datasets (real patient data and the Kaggle flight-delay dataset are not
-//! available in this environment — see `DESIGN.md` §5):
+//! available in this environment — see "Substitutions" in
+//! `ARCHITECTURE.md`):
 //!
 //! * [`hospital`] — the running example's schema: `patient_info ⋈
 //!   blood_tests ⋈ prenatal_tests`, with a length-of-stay label generated

@@ -1,43 +1,123 @@
 //! Columnar expression evaluation.
+//!
+//! Evaluation borrows its input: a column reference reads a row range of
+//! the batch in place ([`ColumnRef`]), a literal stays a scalar until an
+//! operator needs it, and only what an expression computes is allocated.
 
 use crate::error::ExecError;
 use crate::Result;
-use raven_data::{Column, DataType, RecordBatch, Value};
+use raven_data::{Column, ColumnRef, DataError, DataType, RecordBatch, Value};
 use raven_ir::{BinOp, Expr};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::iter::repeat;
 
 /// Evaluate an expression over a batch, producing one column.
 pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
-    match eval_inner(expr, batch)? {
-        Ev::Column(c) => Ok(c),
-        Ev::Scalar(v) => Ok(scalar_column(&v, batch.num_rows())),
-    }
+    evaluate_range(expr, batch, 0, batch.num_rows())
 }
 
 /// Evaluate a boolean predicate into a selection mask.
 pub fn evaluate_predicate(expr: &Expr, batch: &RecordBatch) -> Result<Vec<bool>> {
-    match eval_inner(expr, batch)? {
-        Ev::Column(Column::Bool(mask)) => Ok(mask),
-        Ev::Scalar(Value::Bool(b)) => Ok(vec![b; batch.num_rows()]),
-        other => Err(ExecError::Eval(format!(
-            "predicate evaluated to non-boolean {:?}",
-            other.data_type()
-        ))),
+    evaluate_predicate_range(expr, batch, 0, batch.num_rows())
+}
+
+/// [`evaluate`] over rows `[start, end)` of `batch`, read in place.
+pub(crate) fn evaluate_range(
+    expr: &Expr,
+    batch: &RecordBatch,
+    start: usize,
+    end: usize,
+) -> Result<Column> {
+    let rows = Rows { batch, start, end };
+    Ok(eval_inner(expr, rows)?.into_column(rows.len()))
+}
+
+/// [`evaluate_predicate`] over rows `[start, end)` of `batch`.
+pub(crate) fn evaluate_predicate_range(
+    expr: &Expr,
+    batch: &RecordBatch,
+    start: usize,
+    end: usize,
+) -> Result<Vec<bool>> {
+    let rows = Rows { batch, start, end };
+    Ok(predicate(expr, rows)?.into_owned())
+}
+
+/// The row range `[start, end)` of a batch an expression reads.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    batch: &'a RecordBatch,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    fn column(&self, name: &str) -> Result<ColumnRef<'a>> {
+        Ok(self
+            .batch
+            .column_by_name(name)?
+            .range(self.start, self.end)?)
     }
 }
 
 /// Lazy evaluation result: literals stay scalar until forced, so
-/// `bp > 140` over a million rows never materializes a constant column.
-enum Ev {
-    Column(Column),
+/// `bp > 140` over a million rows never materializes a constant column,
+/// and column references borrow the input instead of copying it.
+enum Ev<'a> {
+    /// Rows of an input column, read in place.
+    Borrowed(ColumnRef<'a>),
+    /// A column this evaluation computed.
+    Owned(Column),
     Scalar(Value),
 }
 
-impl Ev {
+/// An evaluated operand as an operator reads it.
+enum Operand<'b> {
+    Column(ColumnRef<'b>),
+    Scalar(&'b Value),
+}
+
+impl<'a> Ev<'a> {
     fn data_type(&self) -> DataType {
         match self {
-            Ev::Column(c) => c.data_type(),
+            Ev::Borrowed(c) => c.data_type(),
+            Ev::Owned(c) => c.data_type(),
             Ev::Scalar(v) => v.data_type(),
+        }
+    }
+
+    fn operand(&self) -> Operand<'_> {
+        match self {
+            Ev::Borrowed(c) => Operand::Column(*c),
+            Ev::Owned(c) => Operand::Column(c.view()),
+            Ev::Scalar(v) => Operand::Scalar(v),
+        }
+    }
+
+    fn into_column(self, rows: usize) -> Column {
+        match self {
+            Ev::Borrowed(c) => c.to_column(),
+            Ev::Owned(c) => c,
+            Ev::Scalar(v) => scalar_column(&v, rows),
+        }
+    }
+
+    /// The value as a boolean mask over `rows` rows; `context` names the
+    /// consumer in the error for a non-boolean value.
+    fn into_mask(self, rows: usize, context: &str) -> Result<Cow<'a, [bool]>> {
+        match self {
+            Ev::Borrowed(ColumnRef::Bool(mask)) => Ok(Cow::Borrowed(mask)),
+            Ev::Owned(Column::Bool(mask)) => Ok(Cow::Owned(mask)),
+            Ev::Scalar(Value::Bool(b)) => Ok(Cow::Owned(vec![b; rows])),
+            other => Err(ExecError::Eval(format!(
+                "{context} {:?}",
+                other.data_type()
+            ))),
         }
     }
 }
@@ -51,9 +131,13 @@ fn scalar_column(v: &Value, rows: usize) -> Column {
     }
 }
 
-fn eval_inner(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
+fn predicate<'a>(expr: &Expr, rows: Rows<'a>) -> Result<Cow<'a, [bool]>> {
+    eval_inner(expr, rows)?.into_mask(rows.len(), "predicate evaluated to non-boolean")
+}
+
+fn eval_inner<'a>(expr: &Expr, rows: Rows<'a>) -> Result<Ev<'a>> {
     match expr {
-        Expr::Column(name) => Ok(Ev::Column(batch.column_by_name(name)?.clone())),
+        Expr::Column(name) => Ok(Ev::Borrowed(rows.column(name)?)),
         Expr::Literal(v) => Ok(Ev::Scalar(v.clone())),
         // Template plans must be bound (`Plan::bind_parameters`) before
         // execution; reaching the evaluator with a placeholder is a bug
@@ -63,24 +147,24 @@ fn eval_inner(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
             index + 1
         ))),
         Expr::Binary { op, left, right } => {
-            let l = eval_inner(left, batch)?;
-            let r = eval_inner(right, batch)?;
-            eval_binary(*op, l, r, batch.num_rows())
+            let l = eval_inner(left, rows)?;
+            let r = eval_inner(right, rows)?;
+            eval_binary(*op, l, r, rows.len())
         }
-        Expr::Not(inner) => match eval_inner(inner, batch)? {
-            Ev::Column(Column::Bool(mut mask)) => {
+        Expr::Not(inner) => match eval_inner(inner, rows)? {
+            Ev::Scalar(Value::Bool(b)) => Ok(Ev::Scalar(Value::Bool(!b))),
+            other => {
+                let mut mask = other.into_mask(rows.len(), "NOT over")?.into_owned();
                 for b in &mut mask {
                     *b = !*b;
                 }
-                Ok(Ev::Column(Column::Bool(mask)))
+                Ok(Ev::Owned(Column::Bool(mask)))
             }
-            Ev::Scalar(Value::Bool(b)) => Ok(Ev::Scalar(Value::Bool(!b))),
-            other => Err(ExecError::Eval(format!("NOT over {:?}", other.data_type()))),
         },
         Expr::Case {
             branches,
             else_expr,
-        } => eval_case(branches, else_expr, batch),
+        } => eval_case(branches, else_expr, rows),
     }
 }
 
@@ -89,28 +173,28 @@ fn eval_inner(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
 /// results scatter back. Without this, a deeply nested CASE (an inlined
 /// decision tree!) would evaluate every subtree for every row —
 /// O(nodes × rows) instead of O(depth × rows).
-fn eval_case(branches: &[(Expr, Expr)], else_expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
-    let rows = batch.num_rows();
+fn eval_case<'a>(branches: &[(Expr, Expr)], else_expr: &Expr, rows: Rows<'a>) -> Result<Ev<'a>> {
+    let n = rows.len();
     // Decide the branch per row (conditions still evaluate over all
     // undecided rows; for inlined trees there is exactly one condition).
-    let mut chosen: Vec<usize> = vec![usize::MAX; rows]; // MAX = else
+    let mut chosen: Vec<usize> = vec![usize::MAX; n]; // MAX = else
     for (bi, (cond, _)) in branches.iter().enumerate() {
-        let mask = evaluate_predicate(cond, batch)?;
-        for (r, &m) in mask.iter().enumerate() {
-            if m && chosen[r] == usize::MAX {
-                chosen[r] = bi;
+        let mask = predicate(cond, rows)?;
+        for (c, &m) in chosen.iter_mut().zip(mask.iter()) {
+            if m && *c == usize::MAX {
+                *c = bi;
             }
         }
     }
-    // Partition rows by chosen branch.
+    // Partition rows (as batch row numbers) by chosen branch.
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); branches.len() + 1];
     for (r, &c) in chosen.iter().enumerate() {
         let slot = if c == usize::MAX { branches.len() } else { c };
-        groups[slot].push(r);
+        groups[slot].push(rows.start + r);
     }
     // Narrow the batch to the columns each value expression needs before
     // `take`, so partitioning does not clone unrelated columns.
-    let mut out_f64: Vec<f64> = vec![0.0; rows];
+    let mut out_f64: Vec<f64> = vec![0.0; n];
     let mut out_utf8: Option<Vec<String>> = None;
     let mut is_utf8 = false;
     for (slot, group) in groups.iter().enumerate() {
@@ -122,28 +206,28 @@ fn eval_case(branches: &[(Expr, Expr)], else_expr: &Expr, batch: &RecordBatch) -
         } else {
             &branches[slot].1
         };
-        let sub = project_and_take(batch, value_expr, group)?;
+        let sub = project_and_take(rows.batch, value_expr, group)?;
         let col = evaluate(value_expr, &sub)?;
         match col {
             Column::Utf8(vals) => {
                 is_utf8 = true;
-                let out = out_utf8.get_or_insert_with(|| vec![String::new(); rows]);
+                let out = out_utf8.get_or_insert_with(|| vec![String::new(); n]);
                 for (&r, v) in group.iter().zip(vals) {
-                    out[r] = v;
+                    out[r - rows.start] = v;
                 }
             }
             other => {
                 let vals = other.to_f64_vec()?;
                 for (&r, v) in group.iter().zip(vals) {
-                    out_f64[r] = v;
+                    out_f64[r - rows.start] = v;
                 }
             }
         }
     }
     if is_utf8 {
-        Ok(Ev::Column(Column::Utf8(out_utf8.unwrap_or_default())))
+        Ok(Ev::Owned(Column::Utf8(out_utf8.unwrap_or_default())))
     } else {
-        Ok(Ev::Column(Column::Float64(out_f64)))
+        Ok(Ev::Owned(Column::Float64(out_f64)))
     }
 }
 
@@ -166,34 +250,26 @@ fn project_and_take(batch: &RecordBatch, expr: &Expr, rows: &[usize]) -> Result<
     Ok(batch.project(&indices)?.take(rows)?)
 }
 
-fn eval_binary(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
+fn eval_binary<'a>(op: BinOp, l: Ev<'a>, r: Ev<'a>, rows: usize) -> Result<Ev<'a>> {
     if op.is_logical() {
         return eval_logical(op, l, r, rows);
     }
     if op.is_comparison() {
-        return eval_comparison(op, l, r, rows);
+        let mask = compare(op, l.operand(), r.operand(), rows)?;
+        return Ok(Ev::Owned(Column::Bool(mask)));
     }
-    eval_arithmetic(op, l, r, rows)
+    eval_arithmetic(op, l.operand(), r.operand())
 }
 
-fn eval_logical(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
-    let to_mask = |e: Ev| -> Result<Vec<bool>> {
-        match e {
-            Ev::Column(Column::Bool(m)) => Ok(m),
-            Ev::Scalar(Value::Bool(b)) => Ok(vec![b; rows]),
-            other => Err(ExecError::Eval(format!(
-                "logical op over {:?}",
-                other.data_type()
-            ))),
-        }
-    };
-    let (mut a, b) = (to_mask(l)?, to_mask(r)?);
+fn eval_logical<'a>(op: BinOp, l: Ev<'a>, r: Ev<'a>, rows: usize) -> Result<Ev<'a>> {
+    let mut a = l.into_mask(rows, "logical op over")?.into_owned();
+    let b = r.into_mask(rows, "logical op over")?;
     match op {
-        BinOp::And => a.iter_mut().zip(&b).for_each(|(x, &y)| *x = *x && y),
-        BinOp::Or => a.iter_mut().zip(&b).for_each(|(x, &y)| *x = *x || y),
+        BinOp::And => a.iter_mut().zip(b.iter()).for_each(|(x, &y)| *x = *x && y),
+        BinOp::Or => a.iter_mut().zip(b.iter()).for_each(|(x, &y)| *x = *x || y),
         _ => unreachable!(),
     }
-    Ok(Ev::Column(Column::Bool(a)))
+    Ok(Ev::Owned(Column::Bool(a)))
 }
 
 fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
@@ -208,50 +284,85 @@ fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-fn eval_comparison(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
-    // Fast paths: numeric column vs numeric scalar (the overwhelmingly
-    // common shape for predicates like `bp > 140`).
-    match (&l, &r) {
-        (Ev::Column(col), Ev::Scalar(s))
-            if col.data_type().is_numeric() && s.data_type() != DataType::Utf8 =>
-        {
-            let threshold = s.as_f64().map_err(ExecError::from)?;
-            let mask = match col {
-                Column::Float64(v) => cmp_scalar(op, v.iter().copied(), threshold),
-                Column::Int64(v) => cmp_scalar(op, v.iter().map(|&x| x as f64), threshold),
-                _ => unreachable!(),
-            };
-            return Ok(Ev::Column(Column::Bool(mask)));
+/// Compare two operands row by row. Strings compare lexicographically
+/// with strings; every other pair compares as `f64` under IEEE rules
+/// (Int64 and Bool widen), so an ordered comparison involving NaN is
+/// false and `<>` is true whether the other side is a column or a
+/// literal. A string against a number is a typed error over a non-empty
+/// input.
+fn compare(op: BinOp, l: Operand<'_>, r: Operand<'_>, rows: usize) -> Result<Vec<bool>> {
+    match (l, r) {
+        (Operand::Column(ColumnRef::Utf8(a)), Operand::Column(ColumnRef::Utf8(b))) => Ok(cmp_strs(
+            op,
+            a.iter().map(String::as_str),
+            b.iter().map(String::as_str),
+        )),
+        (Operand::Column(ColumnRef::Utf8(a)), Operand::Scalar(Value::Utf8(s))) => Ok(cmp_strs(
+            op,
+            a.iter().map(String::as_str),
+            repeat(s.as_str()),
+        )),
+        // Past the two arms above, a string on either side meets a number.
+        (Operand::Column(a), Operand::Column(b)) => {
+            if a.is_empty() {
+                return Ok(Vec::new());
+            }
+            check_comparable(a.data_type(), b.data_type())?;
+            let (a, b) = (widen(a)?, widen(b)?);
+            Ok(cmp_f64(op, a.iter().copied(), b.iter().copied()))
         }
-        (Ev::Scalar(_), Ev::Column(_)) => {
-            return eval_comparison(flip_cmp(op), r, l, rows);
+        (Operand::Column(col), Operand::Scalar(s)) => {
+            if col.is_empty() {
+                return Ok(Vec::new());
+            }
+            check_comparable(col.data_type(), s.data_type())?;
+            let t = s.as_f64()?;
+            Ok(match col {
+                ColumnRef::Float64(v) => cmp_f64(op, v.iter().copied(), repeat(t)),
+                ColumnRef::Int64(v) => cmp_f64(op, v.iter().map(|&x| x as f64), repeat(t)),
+                ColumnRef::Bool(v) => {
+                    cmp_f64(op, v.iter().map(|&b| f64::from(u8::from(b))), repeat(t))
+                }
+                ColumnRef::Utf8(_) => unreachable!("checked comparable"),
+            })
         }
-        _ => {}
+        (Operand::Scalar(s), Operand::Column(col)) => {
+            compare(flip_cmp(op), Operand::Column(col), Operand::Scalar(s), rows)
+        }
+        (Operand::Scalar(a), Operand::Scalar(b)) => {
+            if rows == 0 {
+                return Ok(Vec::new());
+            }
+            let one = scalar_column(a, 1);
+            let m = compare(op, Operand::Column(one.view()), Operand::Scalar(b), 1)?;
+            Ok(vec![m[0]; rows])
+        }
     }
-    // String equality fast path.
-    if let (Ev::Column(Column::Utf8(vs)), Ev::Scalar(Value::Utf8(s))) = (&l, &r) {
-        let mask = vs
-            .iter()
-            .map(|v| cmp_matches(op, v.as_str().cmp(s.as_str())))
-            .collect();
-        return Ok(Ev::Column(Column::Bool(mask)));
+}
+
+/// A typed error for a string compared with a number.
+fn check_comparable(a: DataType, b: DataType) -> Result<()> {
+    if a == DataType::Utf8 || b == DataType::Utf8 {
+        return Err(ExecError::Eval(format!("cannot compare {a:?} with {b:?}")));
     }
-    // Generic path: row-wise Value comparison.
-    let lc = force(l, rows);
-    let rc = force(r, rows);
-    let mut mask = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let (a, b) = (lc.get(i)?, rc.get(i)?);
-        let ord = a.partial_cmp_value(&b).ok_or_else(|| {
-            ExecError::Eval(format!(
-                "cannot compare {:?} with {:?}",
-                a.data_type(),
-                b.data_type()
-            ))
-        })?;
-        mask.push(cmp_matches(op, ord));
-    }
-    Ok(Ev::Column(Column::Bool(mask)))
+    Ok(())
+}
+
+/// A numeric column's values as `f64` (Bool as 0.0/1.0), borrowed when
+/// already Float64.
+pub(crate) fn widen(col: ColumnRef<'_>) -> Result<Cow<'_, [f64]>> {
+    Ok(match col {
+        ColumnRef::Float64(v) => Cow::Borrowed(v),
+        ColumnRef::Int64(v) => Cow::Owned(v.iter().map(|&x| x as f64).collect()),
+        ColumnRef::Bool(v) => Cow::Owned(v.iter().map(|&b| f64::from(u8::from(b))).collect()),
+        ColumnRef::Utf8(_) => {
+            return Err(DataError::TypeMismatch {
+                expected: "numeric".into(),
+                actual: "Utf8".into(),
+            }
+            .into())
+        }
+    })
 }
 
 fn flip_cmp(op: BinOp) -> BinOp {
@@ -264,37 +375,46 @@ fn flip_cmp(op: BinOp) -> BinOp {
     }
 }
 
-fn cmp_scalar(op: BinOp, values: impl Iterator<Item = f64>, t: f64) -> Vec<bool> {
+fn cmp_f64(op: BinOp, a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> Vec<bool> {
+    let pairs = a.zip(b);
     match op {
-        BinOp::Eq => values.map(|v| v == t).collect(),
-        BinOp::NotEq => values.map(|v| v != t).collect(),
-        BinOp::Lt => values.map(|v| v < t).collect(),
-        BinOp::LtEq => values.map(|v| v <= t).collect(),
-        BinOp::Gt => values.map(|v| v > t).collect(),
-        BinOp::GtEq => values.map(|v| v >= t).collect(),
+        BinOp::Eq => pairs.map(|(x, y)| x == y).collect(),
+        BinOp::NotEq => pairs.map(|(x, y)| x != y).collect(),
+        BinOp::Lt => pairs.map(|(x, y)| x < y).collect(),
+        BinOp::LtEq => pairs.map(|(x, y)| x <= y).collect(),
+        BinOp::Gt => pairs.map(|(x, y)| x > y).collect(),
+        BinOp::GtEq => pairs.map(|(x, y)| x >= y).collect(),
         _ => unreachable!(),
     }
 }
 
-fn force(e: Ev, rows: usize) -> Column {
-    match e {
-        Ev::Column(c) => c,
-        Ev::Scalar(v) => scalar_column(&v, rows),
+fn cmp_strs<'s>(
+    op: BinOp,
+    a: impl Iterator<Item = &'s str>,
+    b: impl Iterator<Item = &'s str>,
+) -> Vec<bool> {
+    let pairs = a.zip(b);
+    match op {
+        BinOp::Eq => pairs.map(|(x, y)| x == y).collect(),
+        BinOp::NotEq => pairs.map(|(x, y)| x != y).collect(),
+        _ => pairs.map(|(x, y)| cmp_matches(op, x.cmp(y))).collect(),
     }
 }
 
-fn eval_arithmetic(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
-    // Scalar ∘ scalar folds immediately.
-    if let (Ev::Scalar(a), Ev::Scalar(b)) = (&l, &r) {
-        let (x, y) = (
-            a.as_f64().map_err(ExecError::from)?,
-            b.as_f64().map_err(ExecError::from)?,
-        );
-        return Ok(Ev::Scalar(Value::Float64(apply_arith(op, x, y))));
-    }
-    // Integer column ∘ integer scalar keeps Int64 for +,-,*.
-    if let (Ev::Column(Column::Int64(v)), Ev::Scalar(Value::Int64(s))) = (&l, &r) {
-        if matches!(op, BinOp::Plus | BinOp::Minus | BinOp::Multiply) {
+fn eval_arithmetic<'a>(op: BinOp, l: Operand<'_>, r: Operand<'_>) -> Result<Ev<'a>> {
+    let out: Vec<f64> = match (l, r) {
+        // Scalar ∘ scalar folds immediately.
+        (Operand::Scalar(a), Operand::Scalar(b)) => {
+            return Ok(Ev::Scalar(Value::Float64(apply_arith(
+                op,
+                a.as_f64()?,
+                b.as_f64()?,
+            ))));
+        }
+        // Integer column ∘ integer scalar keeps Int64 for +,-,*.
+        (Operand::Column(ColumnRef::Int64(v)), Operand::Scalar(Value::Int64(s)))
+            if matches!(op, BinOp::Plus | BinOp::Minus | BinOp::Multiply) =>
+        {
             let out = v
                 .iter()
                 .map(|&x| match op {
@@ -304,17 +424,25 @@ fn eval_arithmetic(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
                     _ => unreachable!(),
                 })
                 .collect();
-            return Ok(Ev::Column(Column::Int64(out)));
+            return Ok(Ev::Owned(Column::Int64(out)));
         }
-    }
-    let lc = force(l, rows).to_f64_vec()?;
-    let rc = force(r, rows).to_f64_vec()?;
-    let out: Vec<f64> = lc
-        .iter()
-        .zip(&rc)
-        .map(|(&a, &b)| apply_arith(op, a, b))
-        .collect();
-    Ok(Ev::Column(Column::Float64(out)))
+        (Operand::Column(a), Operand::Column(b)) => {
+            let (a, b) = (widen(a)?, widen(b)?);
+            a.iter()
+                .zip(b.iter())
+                .map(|(&x, &y)| apply_arith(op, x, y))
+                .collect()
+        }
+        (Operand::Column(a), Operand::Scalar(s)) => {
+            let (a, y) = (widen(a)?, s.as_f64()?);
+            a.iter().map(|&x| apply_arith(op, x, y)).collect()
+        }
+        (Operand::Scalar(s), Operand::Column(b)) => {
+            let (x, b) = (s.as_f64()?, widen(b)?);
+            b.iter().map(|&y| apply_arith(op, x, y)).collect()
+        }
+    };
+    Ok(Ev::Owned(Column::Float64(out)))
 }
 
 fn apply_arith(op: BinOp, a: f64, b: f64) -> f64 {
@@ -388,6 +516,45 @@ mod tests {
         )
         .unwrap();
         assert_eq!(mask, vec![false, true, false]);
+    }
+
+    #[test]
+    fn nan_compares_alike_against_a_column_or_a_literal() {
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Float64),
+            ("b", DataType::Float64),
+            ("i", DataType::Int64),
+            ("s", DataType::Utf8),
+            ("t", DataType::Utf8),
+        ])
+        .into_shared();
+        let b = RecordBatch::try_new(
+            schema,
+            vec![
+                Column::from(vec![f64::NAN, 2.0]),
+                Column::from(vec![1.0, 1.0]),
+                Column::from(vec![1i64, 3]),
+                Column::from(vec!["b", "a"]),
+                Column::from(vec!["a", "a"]),
+            ],
+        )
+        .unwrap();
+        let mask = |op, l: &str, r: Expr| {
+            evaluate_predicate(&Expr::binary(op, Expr::col(l), r), &b).unwrap()
+        };
+        // Column vs literal and column vs column agree: an ordered
+        // comparison with NaN is false, `<>` is true.
+        assert_eq!(mask(BinOp::Gt, "a", Expr::lit(1.0f64)), [false, true]);
+        assert_eq!(mask(BinOp::Gt, "a", Expr::col("b")), [false, true]);
+        assert_eq!(mask(BinOp::LtEq, "a", Expr::col("b")), [false, false]);
+        assert_eq!(mask(BinOp::Eq, "a", Expr::col("b")), [false, false]);
+        assert_eq!(mask(BinOp::NotEq, "a", Expr::col("b")), [true, true]);
+        // Int64 widens to f64 against a float column.
+        assert_eq!(mask(BinOp::Lt, "a", Expr::col("i")), [false, true]);
+        // Strings compare lexicographically with strings only.
+        assert_eq!(mask(BinOp::Gt, "s", Expr::col("t")), [true, false]);
+        let err = evaluate_predicate(&Expr::col("s").gt(Expr::col("a")), &b);
+        assert!(matches!(err, Err(ExecError::Eval(_))), "{err:?}");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The morsel-parallel plan executor.
 
 use crate::error::ExecError;
-use crate::eval::{evaluate, evaluate_predicate};
+use crate::eval::{evaluate_predicate_range, evaluate_range, widen};
 use crate::Result;
-use raven_data::{Catalog, Column, RecordBatch, Schema, Table, Value};
+use raven_data::{Catalog, Column, ColumnRef, DataType, RecordBatch, Schema, Table, Value};
 use raven_ir::{AggFunc, Expr, Plan};
 use raven_obs::SpanRecorder;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-#[allow(unused_imports)]
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -273,40 +274,54 @@ impl<'a> Executor<'a> {
             }
             Plan::Filter { input, predicate } => {
                 let batch = self.exec(input)?;
-                let filtered = self.morsel_map(&batch, true, |morsel| {
-                    let mask = evaluate_predicate(predicate, morsel)?;
-                    Ok(morsel.filter(&mask)?)
+                // One mask over the whole input (built per morsel over
+                // borrowed row ranges), then one gather per column.
+                let masks = self.morsel_map(batch.num_rows(), true, |lo, hi| {
+                    evaluate_predicate_range(predicate, &batch, lo, hi)
                 })?;
-                Ok(RecordBatch::concat(&filtered)?)
+                let selected = selection(&concat_parts(masks));
+                if selected.len() == batch.num_rows() {
+                    return Ok(batch);
+                }
+                Ok(batch.take(&selected)?)
             }
             Plan::Project { input, exprs } => {
                 let batch = self.exec(input)?;
                 let schema = plan.schema()?;
-                // Pure column references (renames, reorders — the shape
-                // alias binding produces) pass columns through by shared
-                // handle: no copy, no per-morsel work.
-                let all_columns = exprs.iter().all(|(e, _)| matches!(e, Expr::Column(_)));
-                if all_columns {
-                    let columns = exprs
-                        .iter()
-                        .map(|(e, _)| {
-                            let Expr::Column(name) = e else {
-                                unreachable!()
-                            };
+                // Column references (renames, reorders, the passthrough
+                // beside an inlined model's score) share the input column
+                // by handle; only computed expressions are evaluated, over
+                // borrowed row ranges.
+                let computed: Vec<(&Expr, DataType)> = exprs
+                    .iter()
+                    .zip(schema.fields())
+                    .filter(|((e, _), _)| !matches!(e, Expr::Column(_)))
+                    .map(|((e, _), field)| (e, field.dtype))
+                    .collect();
+                let mut values = if computed.is_empty() {
+                    Vec::new()
+                } else {
+                    concat_columns(self.morsel_map(batch.num_rows(), true, |lo, hi| {
+                        computed
+                            .iter()
+                            .map(|&(e, want)| coerce_to(evaluate_range(e, &batch, lo, hi)?, want))
+                            .collect::<Result<Vec<_>>>()
+                    })?)?
+                }
+                .into_iter();
+                let columns = exprs
+                    .iter()
+                    .map(|(e, _)| match e {
+                        Expr::Column(name) => {
                             let idx = batch.schema().index_of(name)?;
                             Ok(batch.column_arc(idx)?.clone())
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    return Ok(RecordBatch::try_new_shared(schema, columns)?);
-                }
-                let parts = self.morsel_map(&batch, true, |morsel| {
-                    let columns = exprs
-                        .iter()
-                        .map(|(e, _)| coerce_to(evaluate(e, morsel)?, &schema, exprs, e))
-                        .collect::<Result<Vec<_>>>()?;
-                    Ok(RecordBatch::try_new(schema.clone(), columns)?)
-                })?;
-                Ok(RecordBatch::concat(&parts)?)
+                        }
+                        _ => values.next().map(Arc::new).ok_or_else(|| {
+                            ExecError::Internal("projection lost a computed column".into())
+                        }),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(RecordBatch::try_new_shared(schema, columns)?)
             }
             Plan::Join {
                 left,
@@ -360,21 +375,29 @@ impl<'a> Executor<'a> {
                 let end = (*fetch).min(batch.num_rows());
                 Ok(batch.slice(0, end)?)
             }
-            Plan::Predict { input, output, .. }
-            | Plan::TensorPredict { input, output, .. }
-            | Plan::KernelPredict { input, output, .. }
-            | Plan::ClusteredPredict { input, output, .. }
-            | Plan::Udf { input, output, .. } => {
+            Plan::Predict { input, .. }
+            | Plan::TensorPredict { input, .. }
+            | Plan::KernelPredict { input, .. }
+            | Plan::ClusteredPredict { input, .. }
+            | Plan::Udf { input, .. } => {
                 let batch = self.exec(input)?;
+                let rows = batch.num_rows();
                 let allow_parallel = self.scorer.parallelizable(plan);
                 // `morsel_map` checks the token before every morsel, so a
                 // cancelled request never reaches the scorer.
-                let scores = self.morsel_map(&batch, allow_parallel, |morsel| {
+                let scores = self.morsel_map(rows, allow_parallel, |lo, hi| {
+                    // Scorers take a batch, so a morsel short of the whole
+                    // input is copied out.
+                    let morsel = if (lo, hi) == (0, rows) {
+                        Cow::Borrowed(&batch)
+                    } else {
+                        Cow::Owned(batch.slice(lo, hi)?)
+                    };
                     // The label closure only runs when the recorder is live.
                     let _span = self
                         .trace
                         .span_labeled("scorer-invocation", || scorer_label(plan));
-                    let s = self.scorer.score(plan, morsel, &self.cancel)?;
+                    let s = self.scorer.score(plan, &morsel, &self.cancel)?;
                     if s.len() != morsel.num_rows() {
                         return Err(ExecError::Scoring(format!(
                             "scorer returned {} predictions for {} rows",
@@ -384,26 +407,24 @@ impl<'a> Executor<'a> {
                     }
                     Ok(s)
                 })?;
-                let predictions: Vec<f64> = scores.into_iter().flatten().collect();
                 let schema = plan.schema()?;
                 let mut columns = batch.columns().to_vec();
-                columns.push(std::sync::Arc::new(Column::Float64(predictions)));
-                let _ = output;
+                columns.push(Arc::new(Column::Float64(concat_parts(scores))));
                 Ok(RecordBatch::try_new_shared(schema, columns)?)
             }
         }
     }
 
-    /// Split `batch` into per-worker morsels and map `f` over them (in
-    /// parallel when the batch is large enough and `allow_parallel`).
-    /// Results come back in row order.
+    /// Split `rows` input rows into per-worker morsels — contiguous row
+    /// ranges `[lo, hi)` — and map `f` over them (in parallel when the
+    /// input is large enough and `allow_parallel`). Results come back in
+    /// row order.
     fn morsel_map<T: Send>(
         &self,
-        batch: &RecordBatch,
+        rows: usize,
         allow_parallel: bool,
-        f: impl Fn(&RecordBatch) -> Result<T> + Sync,
+        f: impl Fn(usize, usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let rows = batch.num_rows();
         let workers = self.options.workers();
         self.cancel.check()?;
         if !allow_parallel
@@ -411,7 +432,7 @@ impl<'a> Executor<'a> {
             || rows < self.options.parallel_threshold
             || rows < workers
         {
-            return Ok(vec![f(batch)?]);
+            return Ok(vec![f(0, rows)?]);
         }
         // Near-equal contiguous ranges, one per worker.
         let base = rows / workers;
@@ -430,18 +451,7 @@ impl<'a> Executor<'a> {
                 let f = &f;
                 let cancel = &self.cancel;
                 scope.spawn(move |_| {
-                    if let Err(e) = cancel.check() {
-                        *slot = Some(Err(e));
-                        return;
-                    }
-                    let morsel = match batch.slice(lo, hi) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            *slot = Some(Err(e.into()));
-                            return;
-                        }
-                    };
-                    *slot = Some(f(&morsel));
+                    *slot = Some(cancel.check().and_then(|()| f(lo, hi)));
                 });
             }
         })
@@ -509,28 +519,56 @@ impl JoinKey {
     }
 }
 
+/// The rows `mask` keeps, in order. Branch-free: every row is written
+/// to the next slot, which only a kept row advances, so a mask that is
+/// true at random costs no mispredictions.
+fn selection(mask: &[bool]) -> Vec<usize> {
+    let mut rows = vec![0; mask.len()];
+    let mut kept = 0;
+    for (row, &keep) in mask.iter().enumerate() {
+        rows[kept] = row;
+        kept += usize::from(keep);
+    }
+    rows.truncate(kept);
+    rows
+}
+
+/// Join per-morsel results in row order; a single morsel moves through.
+fn concat_parts<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Join per-morsel column lists (morsel × column) into one column each.
+fn concat_columns(parts: Vec<Vec<Column>>) -> Result<Vec<Column>> {
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        for (acc, col) in out.iter_mut().zip(&part) {
+            acc.extend_from(col)?;
+        }
+    }
+    Ok(out)
+}
+
 /// Coerce an evaluated column to the type the projected schema expects
 /// (Int64 expression results may need widening to Float64, e.g. when a
-/// CASE branch mixes literals).
-fn coerce_to(
-    col: Column,
-    schema: &Arc<Schema>,
-    exprs: &[(Expr, String)],
-    expr: &Expr,
-) -> Result<Column> {
-    let idx = exprs
-        .iter()
-        .position(|(e, _)| e == expr)
-        .ok_or_else(|| ExecError::Internal("expression not in projection".into()))?;
-    let want = schema.field(idx)?.dtype;
+/// CASE branch mixes literals). An empty column takes the wanted type
+/// as it is: over zero rows a CASE cannot tell which type it yields.
+fn coerce_to(col: Column, want: DataType) -> Result<Column> {
     if col.data_type() == want {
         return Ok(col);
     }
     match (col, want) {
-        (Column::Int64(v), raven_data::DataType::Float64) => {
+        (col, want) if col.is_empty() => Ok(Column::empty(want)),
+        (Column::Int64(v), DataType::Float64) => {
             Ok(Column::Float64(v.into_iter().map(|x| x as f64).collect()))
         }
-        (Column::Float64(v), raven_data::DataType::Int64) => {
+        (Column::Float64(v), DataType::Int64) => {
             Ok(Column::Int64(v.into_iter().map(|x| x as i64).collect()))
         }
         (col, want) => Err(ExecError::Eval(format!(
@@ -556,74 +594,43 @@ fn sort_indices(indices: &mut [usize], col: &Column, descending: bool) -> Result
     Ok(())
 }
 
-/// Aggregate accumulator.
-enum Acc {
-    Count(i64),
-    Sum(f64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, n: usize },
+/// One row's group-by key, read in place from borrowed key columns:
+/// hashing and equality go by typed value, so grouping copies no key.
+/// Float64 keys match by bit pattern, as join keys do. Keys compared
+/// with each other must read the same columns.
+#[derive(Clone, Copy)]
+struct GroupKey<'a> {
+    columns: &'a [ColumnRef<'a>],
+    row: usize,
 }
 
-impl Acc {
-    fn new(func: AggFunc) -> Acc {
-        match func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum => Acc::Sum(0.0),
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> Result<()> {
-        match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Sum(s) => *s += v.as_f64().map_err(ExecError::from)?,
-            Acc::Avg { sum, n } => {
-                *sum += v.as_f64().map_err(ExecError::from)?;
-                *n += 1;
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let r = self.row;
+        for col in self.columns {
+            match col {
+                ColumnRef::Int64(v) => v[r].hash(state),
+                ColumnRef::Float64(v) => v[r].to_bits().hash(state),
+                ColumnRef::Bool(v) => v[r].hash(state),
+                ColumnRef::Utf8(v) => v[r].hash(state),
             }
-            Acc::Min(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v
-                        .partial_cmp_value(c)
-                        .map(|o| o == std::cmp::Ordering::Less)
-                        .unwrap_or(false),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            Acc::Max(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v
-                        .partial_cmp_value(c)
-                        .map(|o| o == std::cmp::Ordering::Greater)
-                        .unwrap_or(false),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self, want: raven_data::DataType) -> Value {
-        match self {
-            Acc::Count(n) => Value::Int64(*n),
-            Acc::Sum(s) => match want {
-                raven_data::DataType::Int64 => Value::Int64(*s as i64),
-                _ => Value::Float64(*s),
-            },
-            Acc::Avg { sum, n } => Value::Float64(if *n == 0 { 0.0 } else { sum / *n as f64 }),
-            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Float64(f64::NAN)),
         }
     }
 }
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.row, other.row);
+        self.columns.iter().all(|col| match col {
+            ColumnRef::Int64(v) => v[a] == v[b],
+            ColumnRef::Float64(v) => v[a].to_bits() == v[b].to_bits(),
+            ColumnRef::Bool(v) => v[a] == v[b],
+            ColumnRef::Utf8(v) => v[a] == v[b],
+        })
+    }
+}
+
+impl Eq for GroupKey<'_> {}
 
 fn hash_aggregate(
     batch: &RecordBatch,
@@ -635,61 +642,134 @@ fn hash_aggregate(
         .iter()
         .map(|g| batch.column_by_name(g))
         .collect::<std::result::Result<_, _>>()?;
-    let agg_cols: Vec<&Column> = aggregates
-        .iter()
-        .map(|(_, c, _)| batch.column_by_name(c))
-        .collect::<std::result::Result<_, _>>()?;
+    let keys: Vec<ColumnRef<'_>> = group_cols.iter().map(|c| c.view()).collect();
 
-    // Group index: key → slot, preserving first-seen order.
-    let mut slots: HashMap<Vec<JoinKey>, usize> = HashMap::new();
-    let mut group_values: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
-    for r in 0..batch.num_rows() {
-        let mut key = Vec::with_capacity(group_cols.len());
-        for col in &group_cols {
-            key.push(JoinKey::from_value(&col.get(r)?)?);
+    // Group of every row, numbered in first-seen order; `firsts` holds
+    // each group's first row, whose key values the output carries.
+    let mut slots: HashMap<GroupKey<'_>, usize> = HashMap::new();
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut group_of: Vec<usize> = Vec::with_capacity(batch.num_rows());
+    for row in 0..batch.num_rows() {
+        let next = firsts.len();
+        let g = *slots
+            .entry(GroupKey {
+                columns: &keys,
+                row,
+            })
+            .or_insert(next);
+        if g == next {
+            firsts.push(row);
         }
-        let slot = match slots.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = group_values.len();
-                slots.insert(key, s);
-                group_values.push(
-                    group_cols
-                        .iter()
-                        .map(|c| c.get(r))
-                        .collect::<std::result::Result<_, _>>()?,
-                );
-                accs.push(aggregates.iter().map(|(f, _, _)| Acc::new(*f)).collect());
-                s
-            }
-        };
-        for (acc, col) in accs[slot].iter_mut().zip(&agg_cols) {
-            acc.update(&col.get(r)?)?;
-        }
+        group_of.push(g);
     }
     // Global aggregate with no groups over an empty input: one row of
     // zero-ish accumulators, matching SQL semantics for COUNT.
-    if group_by.is_empty() && group_values.is_empty() {
-        group_values.push(vec![]);
-        accs.push(aggregates.iter().map(|(f, _, _)| Acc::new(*f)).collect());
-    }
+    let groups = if group_by.is_empty() { 1 } else { firsts.len() };
 
-    let mut columns: Vec<Column> = schema
-        .fields()
-        .iter()
-        .map(|f| Column::with_capacity(f.dtype, group_values.len()))
-        .collect();
-    for (gv, acc_row) in group_values.iter().zip(&accs) {
-        for (c, v) in columns.iter_mut().zip(gv.iter().cloned()) {
-            c.push(v)?;
-        }
-        for (i, acc) in acc_row.iter().enumerate() {
-            let field = schema.field(group_by.len() + i)?;
-            columns[group_by.len() + i].push(acc.finish(field.dtype))?;
-        }
+    let mut columns = Vec::with_capacity(schema.len());
+    for col in &group_cols {
+        columns.push(col.take(&firsts)?);
+    }
+    for ((func, name, _), field) in aggregates.iter().zip(&schema.fields()[group_by.len()..]) {
+        let col = batch.column_by_name(name)?;
+        columns.push(aggregate(*func, col, &group_of, groups, field.dtype)?);
     }
     Ok(RecordBatch::try_new(schema, columns)?)
+}
+
+/// One aggregate over `col`, per group: rows are visited in row order, so
+/// sums add in row order and MIN/MAX keep the first of equal values.
+fn aggregate(
+    func: AggFunc,
+    col: &Column,
+    group_of: &[usize],
+    groups: usize,
+    want: DataType,
+) -> Result<Column> {
+    Ok(match func {
+        AggFunc::Count => {
+            let mut n = vec![0i64; groups];
+            for &g in group_of {
+                n[g] += 1;
+            }
+            Column::Int64(n)
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            let values = if group_of.is_empty() {
+                Cow::Borrowed(&[][..])
+            } else {
+                widen(col.view())?
+            };
+            let mut sum = vec![0.0f64; groups];
+            let mut n = vec![0usize; groups];
+            for (&g, &v) in group_of.iter().zip(values.iter()) {
+                sum[g] += v;
+                n[g] += 1;
+            }
+            match (func, want) {
+                (AggFunc::Sum, DataType::Int64) => {
+                    Column::Int64(sum.into_iter().map(|s| s as i64).collect())
+                }
+                (AggFunc::Sum, _) => Column::Float64(sum),
+                _ => Column::Float64(
+                    sum.iter()
+                        .zip(&n)
+                        .map(|(&s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
+                        .collect(),
+                ),
+            }
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let min = func == AggFunc::Min;
+            // Whether `a` replaces the current best `b`: never for NaN on
+            // either side, never for an equal value.
+            fn beats<T: PartialOrd>(min: bool, a: T, b: T) -> bool {
+                if min {
+                    a < b
+                } else {
+                    a > b
+                }
+            }
+            let best = match col.view() {
+                ColumnRef::Int64(v) => {
+                    best_rows(v, group_of, groups, |&a, &b| beats(min, a as f64, b as f64))
+                }
+                ColumnRef::Float64(v) => best_rows(v, group_of, groups, |&a, &b| beats(min, a, b)),
+                ColumnRef::Bool(v) => best_rows(v, group_of, groups, |&a, &b| {
+                    beats(min, u8::from(a), u8::from(b))
+                }),
+                ColumnRef::Utf8(v) => best_rows(v, group_of, groups, |a, b| beats(min, a, b)),
+            };
+            match best.into_iter().collect::<Option<Vec<usize>>>() {
+                Some(rows) => col.take(&rows)?,
+                // The empty global aggregate has no row to keep and
+                // reports NaN, which a non-Float64 column cannot hold.
+                None => {
+                    let mut out = Column::with_capacity(want, 1);
+                    out.push(Value::Float64(f64::NAN))?;
+                    out
+                }
+            }
+        }
+    })
+}
+
+/// Per group, the row holding its best value: the first row, replaced by
+/// each later row that `beats` the current best.
+fn best_rows<T>(
+    values: &[T],
+    group_of: &[usize],
+    groups: usize,
+    beats: impl Fn(&T, &T) -> bool,
+) -> Vec<Option<usize>> {
+    let mut best: Vec<Option<usize>> = vec![None; groups];
+    for (row, (&g, v)) in group_of.iter().zip(values).enumerate() {
+        match best[g] {
+            Some(b) if !beats(v, &values[b]) => {}
+            _ => best[g] = Some(row),
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -865,6 +945,40 @@ mod tests {
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.column_by_name("n").unwrap().i64_values().unwrap(), &[4]);
         assert_eq!(t.column_by_name("s").unwrap().i64_values().unwrap(), &[10]);
+    }
+
+    #[test]
+    fn min_max_keep_the_first_of_equal_values_and_skip_nan() {
+        let cat = Catalog::new();
+        let schema =
+            Schema::from_pairs(&[("g", DataType::Int64), ("x", DataType::Float64)]).into_shared();
+        let t = Table::try_new(
+            schema,
+            vec![
+                Column::from(vec![1i64, 1, 2, 2, 3, 3]),
+                Column::from(vec![0.0, -0.0, 1.0, f64::NAN, f64::NAN, 1.0]),
+            ],
+        )
+        .unwrap();
+        cat.register("t", t).unwrap();
+        let plan = Plan::Aggregate {
+            input: Box::new(scan(&cat, "t")),
+            group_by: vec!["g".into()],
+            aggregates: vec![
+                (AggFunc::Min, "x".into(), "lo".into()),
+                (AggFunc::Max, "x".into(), "hi".into()),
+            ],
+        };
+        let t = exec(&cat, &plan);
+        let bits = |name: &str| -> Vec<u64> {
+            let col = t.column_by_name(name).unwrap().f64_values().unwrap();
+            col.iter().map(|v| v.to_bits()).collect()
+        };
+        // 0.0 and -0.0 tie, so the first stays; a later NaN never
+        // replaces a value, and a first NaN is never replaced.
+        let want = [0.0f64.to_bits(), 1.0f64.to_bits(), f64::NAN.to_bits()];
+        assert_eq!(bits("lo"), want);
+        assert_eq!(bits("hi"), want);
     }
 
     #[test]

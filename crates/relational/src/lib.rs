@@ -21,6 +21,13 @@
 //! * **vectorized (columnar) expression evaluation** ([`eval`]), including
 //!   `CASE` expressions, which is what makes *model inlining* (paper §4.2)
 //!   profitable.
+//!
+//! Evaluation borrows its input: column references read row ranges of
+//! the batch in place, and each operator copies only what it outputs,
+//! once — `Filter` gathers each column once through one selection
+//! vector, `Project` shares bare column references by handle, and
+//! `Aggregate` hashes borrowed typed keys. Around a cheap model this
+//! copying, not the model, decides what a query costs.
 
 pub mod error;
 pub mod eval;

@@ -43,7 +43,8 @@ impl RunStats {
 /// kernels, matching the ~15× large-batch speedup the paper measures in
 /// Fig. 2(d). The *shape* this produces — latency-bound (no better than
 /// CPU) at small batch, throughput-bound (order-of-magnitude faster) at
-/// large batch — is the phenomenon Fig. 2(d) reports; see DESIGN.md §5.
+/// large batch — is the phenomenon Fig. 2(d) reports; see "Substitutions"
+/// in `ARCHITECTURE.md`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Fixed overhead per inference call (kernel launches, driver).

@@ -26,7 +26,7 @@
 //! no GPU; [`device::Device`] `SimulatedGpu` runs the *same kernels*
 //! (results are bit-identical to CPU) and reports an analytic *simulated*
 //! execution time from a calibrated launch-latency + throughput model. See
-//! `DESIGN.md` §5 for the substitution argument.
+//! "Substitutions" in `ARCHITECTURE.md`.
 
 pub mod device;
 pub mod error;
