@@ -1,13 +1,13 @@
-//! Executor differential suite: random Filter, Project and Aggregate
-//! plans over random batches — NaN, ±∞, −0.0, empty and one-row inputs
-//! included — run serially and with a morsel edge between every few rows
-//! (`parallelism: 3, parallel_threshold: 1`), and both must equal a
-//! row-at-a-time reference evaluator written here: the same schema, the
+//! Executor differential suite: random Filter, Project, Aggregate and
+//! Join plans over random batches — NaN, ±∞, −0.0, empty and one-row
+//! inputs included — run serially and with a morsel edge between every
+//! few rows (`parallelism: 3, parallel_threshold: 1`), and both must equal
+//! a row-at-a-time reference evaluator written here: the same schema, the
 //! same row order, and the same values bit for bit.
 
 use proptest::prelude::*;
-use raven_data::{Catalog, Column, DataType, RecordBatch, Schema, Table, Value};
-use raven_ir::{AggFunc, BinOp, Expr, Plan};
+use raven_data::{Catalog, Column, DataType, Field, RecordBatch, Schema, Table, Value};
+use raven_ir::{AggFunc, BinOp, Expr, JoinKind, Plan};
 use raven_relational::{ExecOptions, Executor, NoopScorer};
 use std::cmp::Ordering;
 
@@ -184,9 +184,31 @@ fn projection(g: &mut Gen) -> Vec<(Expr, String)> {
         .collect()
 }
 
+/// The same table with every column name prefixed, so a join's two
+/// sides carry distinct names.
+fn prefixed(table: &Table, prefix: &str) -> Table {
+    let fields = table
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| Field::new(format!("{prefix}{}", f.name), f.dtype))
+        .collect();
+    let columns = table
+        .batch()
+        .columns()
+        .iter()
+        .map(|c| (**c).clone())
+        .collect();
+    Table::try_new(Schema::new(fields).into_shared(), columns).unwrap()
+}
+
 fn scan(table: &Table) -> Plan {
+    scan_named("t", table)
+}
+
+fn scan_named(name: &str, table: &Table) -> Plan {
     Plan::Scan {
-        table: "t".into(),
+        table: name.into(),
         schema: table.schema().clone(),
     }
 }
@@ -403,6 +425,39 @@ fn reference_aggregate(batch: &RecordBatch, plan: &Plan) -> Option<RecordBatch> 
     Some(RecordBatch::try_new(schema, columns).unwrap())
 }
 
+/// Nested loops: every left row in order, each with its matching right
+/// rows ascending. Keys match by `Key`, so floats match by bit pattern
+/// and values of different types never match.
+fn reference_join(left: &RecordBatch, right: &RecordBatch, plan: &Plan) -> RecordBatch {
+    let Plan::Join {
+        left_key,
+        right_key,
+        ..
+    } = plan
+    else {
+        unreachable!()
+    };
+    let (lcol, rcol) = (
+        left.column_by_name(left_key).unwrap(),
+        right.column_by_name(right_key).unwrap(),
+    );
+    let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
+    for l in 0..left.num_rows() {
+        let key = key_of(lcol.get(l).unwrap());
+        for r in 0..right.num_rows() {
+            if key_of(rcol.get(r).unwrap()) == key {
+                lrows.push(l);
+                rrows.push(r);
+            }
+        }
+    }
+    let mut columns: Vec<Column> = Vec::new();
+    for (batch, rows) in [(left, &lrows), (right, &rrows)] {
+        columns.extend(batch.columns().iter().map(|c| c.take(rows).unwrap()));
+    }
+    RecordBatch::try_new(plan.schema().unwrap(), columns).unwrap()
+}
+
 // ---------------------------------------------------------------------
 // Running both executions against the reference.
 
@@ -445,11 +500,18 @@ fn assert_same(label: &str, got: &RecordBatch, want: &RecordBatch) {
 }
 
 fn check(table: &Table, plan: &Plan, want: Option<&RecordBatch>) {
+    check_over(&[("t", table)], plan, want);
+}
+
+fn check_over(tables: &[(&str, &Table)], plan: &Plan, want: Option<&RecordBatch>) {
     let catalog = Catalog::new();
-    catalog.register("t", table.clone()).unwrap();
+    for (name, table) in tables {
+        catalog.register(name, (*table).clone()).unwrap();
+    }
+    let sizes: Vec<usize> = tables.iter().map(|(_, t)| t.num_rows()).collect();
     for (name, opts) in options() {
         let got = Executor::new(&catalog, &NoopScorer, opts).execute(plan);
-        let label = format!("{name} over {} rows: {plan}", table.num_rows());
+        let label = format!("{name} over {sizes:?} rows: {plan}");
         match want {
             Some(want) => assert_same(&label, got.unwrap().batch(), want),
             None => assert!(got.is_err(), "{label}: expected an error"),
@@ -512,6 +574,34 @@ proptest! {
         };
         let want = reference_aggregate(&filtered, &plan);
         check(&table, &plan, want.as_ref());
+    }
+
+    #[test]
+    fn join_matches_row_at_a_time(seed in 0..u64::MAX, left_rows in rows(), right_rows in rows()) {
+        let mut g = Gen(seed);
+        let left = random_table(&mut g, left_rows);
+        let right = prefixed(&random_table(&mut g, right_rows), "r_");
+        // Every key type against itself — floats with NaN, -0.0 and 0.0
+        // among their few values — plus mixed pairs that never match.
+        let pairs = [
+            ("i0", "r_i1"),
+            ("f0", "r_f1"),
+            ("b0", "r_b0"),
+            ("s0", "r_s1"),
+            ("i0", "r_f0"),
+            ("f1", "r_i0"),
+            ("b0", "r_i1"),
+        ];
+        let (left_key, right_key) = *g.pick(&pairs);
+        let plan = Plan::Join {
+            left: Box::new(scan_named("l", &left)),
+            right: Box::new(scan_named("r", &right)),
+            left_key: left_key.into(),
+            right_key: right_key.into(),
+            kind: JoinKind::Inner,
+        };
+        let want = reference_join(left.batch(), right.batch(), &plan);
+        check_over(&[("l", &left), ("r", &right)], &plan, Some(&want));
     }
 }
 
