@@ -469,26 +469,18 @@ impl<'a> Executor<'a> {
         left_key: &str,
         right_key: &str,
     ) -> Result<RecordBatch> {
-        let lcol = left.column_by_name(left_key)?;
-        let rcol = right.column_by_name(right_key)?;
-        // Build on the right side.
-        let mut build: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(right.num_rows());
-        for i in 0..rcol.len() {
-            build
-                .entry(JoinKey::from_value(&rcol.get(i)?)?)
-                .or_default()
-                .push(i);
-        }
-        let mut left_idx = Vec::new();
-        let mut right_idx = Vec::new();
-        for i in 0..lcol.len() {
-            if let Some(matches) = build.get(&JoinKey::from_value(&lcol.get(i)?)?) {
-                for &j in matches {
-                    left_idx.push(i);
-                    right_idx.push(j);
-                }
-            }
-        }
+        let lcol = left.column_by_name(left_key)?.view();
+        let rcol = right.column_by_name(right_key)?.view();
+        // Keys hash in place, typed: Float64 by bit pattern, so a NaN
+        // joins a NaN of the same bits and -0.0 does not join 0.0.
+        let (left_idx, right_idx) = match (lcol, rcol) {
+            (ColumnRef::Int64(l), ColumnRef::Int64(r)) => join_rows(l, r, |&x| x),
+            (ColumnRef::Float64(l), ColumnRef::Float64(r)) => join_rows(l, r, |x| x.to_bits()),
+            (ColumnRef::Bool(l), ColumnRef::Bool(r)) => join_rows(l, r, |&x| x),
+            (ColumnRef::Utf8(l), ColumnRef::Utf8(r)) => join_rows(l, r, String::as_str),
+            // Keys of different types never match.
+            _ => (Vec::new(), Vec::new()),
+        };
         let lout = left.take(&left_idx)?;
         let rout = right.take(&right_idx)?;
         let schema = Arc::new(lout.schema().join(rout.schema()));
@@ -498,25 +490,35 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Hashable join/group key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JoinKey {
-    Int(i64),
-    Str(String),
-    Bool(bool),
-    /// f64 keys hashed by bit pattern (exact-match equi-join semantics).
-    Bits(u64),
-}
-
-impl JoinKey {
-    fn from_value(v: &Value) -> Result<JoinKey> {
-        Ok(match v {
-            Value::Int64(x) => JoinKey::Int(*x),
-            Value::Utf8(s) => JoinKey::Str(s.clone()),
-            Value::Bool(b) => JoinKey::Bool(*b),
-            Value::Float64(f) => JoinKey::Bits(f.to_bits()),
-        })
+/// The matching `(left, right)` row pairs of an equi-join on `key`, left
+/// rows in order, each with its right matches ascending. The right side
+/// builds one chained table: `heads` maps a key to its first right row,
+/// and `next` links each right row to the following one with that key.
+fn join_rows<'a, T, K: Hash + Eq>(
+    left: &'a [T],
+    right: &'a [T],
+    key: impl Fn(&'a T) -> K,
+) -> (Vec<usize>, Vec<usize>) {
+    const END: usize = usize::MAX;
+    let mut heads: HashMap<K, usize> = HashMap::with_capacity(right.len());
+    let mut next = vec![END; right.len()];
+    // Built back to front, so each chain walks its rows ascending.
+    for (row, v) in right.iter().enumerate().rev() {
+        if let Some(head) = heads.insert(key(v), row) {
+            next[row] = head;
+        }
     }
+    let mut left_rows = Vec::with_capacity(left.len());
+    let mut right_rows = Vec::with_capacity(left.len());
+    for (row, v) in left.iter().enumerate() {
+        let mut r = heads.get(&key(v)).copied().unwrap_or(END);
+        while r != END {
+            left_rows.push(row);
+            right_rows.push(r);
+            r = next[r];
+        }
+    }
+    (left_rows, right_rows)
 }
 
 /// The rows `mask` keeps, in order. Branch-free: every row is written
