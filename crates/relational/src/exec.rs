@@ -586,9 +586,12 @@ fn sort_indices(indices: &mut [usize], col: &Column, descending: bool) -> Result
         Column::Int64(v) => indices.sort_by_key(|&i| v[i]),
         Column::Bool(v) => indices.sort_by_key(|&i| v[i]),
         Column::Utf8(v) => indices.sort_by(|&a, &b| v[a].cmp(&v[b])),
-        Column::Float64(v) => {
-            indices.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap_or(std::cmp::Ordering::Equal))
-        }
+        // NaN sorts after every number and ties with NaN; -0.0 and 0.0
+        // tie. A comparator that is not a total order may panic.
+        Column::Float64(v) => indices.sort_by(|&a, &b| {
+            v[a].partial_cmp(&v[b])
+                .unwrap_or_else(|| v[a].is_nan().cmp(&v[b].is_nan()))
+        }),
     }
     if descending {
         indices.reverse();
@@ -1015,6 +1018,44 @@ mod tests {
             t.column_by_name("age").unwrap().f64_values().unwrap(),
             &[60.0, 50.0]
         );
+    }
+
+    #[test]
+    fn sort_puts_nan_last_without_panicking() {
+        // The sort's comparator must be a total order: on this column,
+        // treating NaN as equal to everything makes `sort_by` panic.
+        let nan = f64::NAN;
+        let x = vec![
+            94.0, nan, nan, 33.0, 86.0, 90.0, 94.0, 31.0, nan, 42.0, nan, 50.0, 35.0, 77.0, 43.0,
+            nan, 8.0, nan, 12.0, 79.0, 57.0,
+        ];
+        let cat = Catalog::new();
+        let schema =
+            Schema::from_pairs(&[("id", DataType::Int64), ("x", DataType::Float64)]).into_shared();
+        let ids = (0..x.len() as i64).collect::<Vec<_>>();
+        let t = Table::try_new(schema, vec![Column::from(ids), Column::from(x)]).unwrap();
+        cat.register("t", t).unwrap();
+        let sorted_ids = |descending| {
+            let plan = Plan::Sort {
+                input: Box::new(scan(&cat, "t")),
+                column: "x".into(),
+                descending,
+            };
+            let t = exec(&cat, &plan);
+            t.column_by_name("id")
+                .unwrap()
+                .i64_values()
+                .unwrap()
+                .to_vec()
+        };
+        // Numbers ascending, ties in input order (the two 94.0s), then
+        // every NaN in input order; descending is the exact reverse.
+        let mut want = vec![
+            16, 18, 7, 3, 12, 9, 14, 11, 20, 13, 19, 4, 5, 0, 6, 1, 2, 8, 10, 15, 17,
+        ];
+        assert_eq!(sorted_ids(false), want);
+        want.reverse();
+        assert_eq!(sorted_ids(true), want);
     }
 
     #[test]
