@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A cooperative cancellation token threaded through plan execution.
@@ -157,13 +157,13 @@ impl ExecOptions {
         }
     }
 
+    /// Worker threads; `parallelism: 0` reads the core count once per
+    /// process (the read goes to cgroup files and costs microseconds).
     fn workers(&self) -> usize {
-        if self.parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.parallelism
+        static CORES: OnceLock<usize> = OnceLock::new();
+        match self.parallelism {
+            0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
         }
     }
 }
@@ -425,13 +425,14 @@ impl<'a> Executor<'a> {
         allow_parallel: bool,
         f: impl Fn(usize, usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let workers = self.options.workers();
         self.cancel.check()?;
-        if !allow_parallel
-            || workers <= 1
-            || rows < self.options.parallel_threshold
-            || rows < workers
-        {
+        // The row threshold first: a serial input never asks for workers.
+        let workers = if allow_parallel && rows >= self.options.parallel_threshold {
+            self.options.workers()
+        } else {
+            1
+        };
+        if workers <= 1 || rows < workers {
             return Ok(vec![f(0, rows)?]);
         }
         // Near-equal contiguous ranges, one per worker.
