@@ -26,8 +26,8 @@
 //! the batch in place, and each operator copies only what it outputs,
 //! once — `Filter` gathers each column once through one selection
 //! vector, `Project` shares bare column references by handle, and
-//! `Aggregate` hashes borrowed typed keys. Around a cheap model this
-//! copying, not the model, decides what a query costs.
+//! `Aggregate` and `Join` hash borrowed typed keys. Around a cheap model
+//! this copying, not the model, decides what a query costs.
 
 pub mod error;
 pub mod eval;
