@@ -87,20 +87,27 @@ impl RavenScorer {
         graph: &Arc<raven_tensor::Graph>,
         device: Device,
     ) -> Result<Arc<InferenceSession>> {
-        let (key_device, tensor_device) = match device {
-            Device::CpuSingle => ("cpu1", TensorDevice::cpu_single()),
-            Device::CpuParallel => ("cpuN", TensorDevice::cpu_parallel()),
-            Device::Gpu => ("gpu", TensorDevice::simulated_gpu()),
+        let key_device = match device {
+            Device::CpuSingle => "cpu1",
+            Device::CpuParallel => "cpuN",
+            Device::Gpu => "gpu",
         };
         let fingerprint = self.graph_fingerprint(graph);
         let key = format!("{model_name}@{key_device}@{fingerprint:x}");
         let batch_size = self.config.tensor_batch_size;
         let session = self.sessions.get_or_create(&key, || {
+            // Built on a session-cache miss only: `cpu_parallel` reads the
+            // core count, which is not free on every call.
+            let device = match device {
+                Device::CpuSingle => TensorDevice::cpu_single(),
+                Device::CpuParallel => TensorDevice::cpu_parallel(),
+                Device::Gpu => TensorDevice::simulated_gpu(),
+            };
             Ok((
                 graph.as_ref().clone(),
                 SessionOptions {
                     optimize: true,
-                    device: tensor_device,
+                    device,
                     batch_size,
                 },
             ))

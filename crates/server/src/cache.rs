@@ -3,51 +3,47 @@
 //! Keyed by the *exact SQL text* plus the optimizer configuration
 //! ([`RuleSet`] and [`OptimizerMode`]): the same query optimized under
 //! different rule toggles is a different plan and must not collide.
-//! Entries record which tables and models the bound plan depends on, so
-//! catalog and model-store mutations invalidate exactly the affected
-//! plans (the serving-layer counterpart of the paper's transactional
-//! model updates).
+//! With parameter normalization on (the default) the text is the
+//! *template* — `WHERE age > ?` — so requests differing only in
+//! constants share one entry ([`mod@crate::normalize`]). Model-store and
+//! catalog mutations invalidate exactly the plans bound to what they
+//! changed, the serving-layer counterpart of the paper's transactional
+//! model updates.
 //!
-//! With parameter normalization on (the default), the `sql` in the key
-//! is the *template* — `WHERE age > ?` — so requests differing only in
-//! constants share one entry; see [`mod@crate::normalize`].
+//! [`PlanCache`] is a [`BoundedCache`] bounded by entry count alone
+//! (`plan_cache_capacity`, default 128).
 //!
 //! ```
 //! use raven_server::cache::{PlanCache, PlanKey, PreparedQuery};
 //! use raven_opt::{OptimizationReport, OptimizerMode, RuleSet};
-//! use raven_ir::{FingerprintBuilder, Plan};
+//! use raven_ir::Plan;
 //! use raven_data::{DataType, Schema};
 //! use std::time::Duration;
 //!
-//! let cache = PlanCache::new(8);
+//! let cache = PlanCache::new(8, 0);
+//! let sql = "SELECT x FROM t WHERE x > ?";
 //! let key = PlanKey {
 //!     tenant: "default".into(),
-//!     sql: "SELECT x FROM t WHERE x > ?".into(),
+//!     sql: sql.into(),
 //!     rules: RuleSet::all(),
 //!     mode: OptimizerMode::Heuristic,
 //! };
-//! let prepare = || -> Result<PreparedQuery, ()> {
-//!     Ok(PreparedQuery::new(
-//!         "SELECT x FROM t WHERE x > ?",
-//!         Plan::Scan {
-//!             table: "t".into(),
-//!             schema: Schema::from_pairs(&[("x", DataType::Float64)]).into_shared(),
-//!         },
-//!         OptimizationReport::default(),
-//!         Duration::ZERO,
-//!     ))
-//! };
-//! let (_, hit) = cache.get_or_prepare(key.clone(), prepare).unwrap();
+//! let schema = Schema::from_pairs(&[("x", DataType::Float64)]).into_shared();
+//! let plan = Plan::Scan { table: "t".into(), schema };
+//! let report = OptimizationReport::default();
+//! let prepare = || Ok::<_, ()>(PreparedQuery::new(sql, plan, report, Duration::ZERO));
+//! // The second argument is polled only while another thread prepares.
+//! let (_, hit) = cache.get_or_prepare(key.clone(), || Ok(()), prepare).unwrap();
 //! assert!(!hit, "first request prepares");
-//! let (_, hit) = cache.get_or_prepare(key, prepare).unwrap();
+//! let (_, hit) = cache.get_or_prepare(key, || Ok::<_, ()>(()), || unreachable!()).unwrap();
 //! assert!(hit, "second request reuses the plan");
 //! assert_eq!(cache.stats().preparations, 1);
 //! ```
 
-use parking_lot::Mutex;
+use crate::bounded_cache::{hit_rate, BoundedCache, CacheValue};
 use raven_ir::{FingerprintBuilder, Plan};
 use raven_opt::{determinism, DeterminismReport, OptimizationReport, OptimizerMode, RuleSet};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -104,7 +100,7 @@ impl PreparedQuery {
         report: OptimizationReport,
         prepare_time: Duration,
     ) -> Self {
-        let (model_deps, table_deps) = collect_deps(&plan, HashSet::new(), HashSet::new());
+        let (model_deps, table_deps) = collect_deps(&[&plan]);
         let param_count = plan.parameter_count();
         // Determinism is a property of the plan that executes (the
         // optimized one): inlining can purify a volatile bound plan.
@@ -136,13 +132,7 @@ impl PreparedQuery {
         prepare_time: Duration,
     ) -> Self {
         let mut prepared = PreparedQuery::new(sql, optimized, report, prepare_time);
-        let (model_deps, table_deps) = collect_deps(
-            bound,
-            prepared.model_deps.iter().cloned().collect(),
-            prepared.table_deps.iter().cloned().collect(),
-        );
-        prepared.model_deps = model_deps;
-        prepared.table_deps = table_deps;
+        (prepared.model_deps, prepared.table_deps) = collect_deps(&[bound, &prepared.plan]);
         // The caller-facing arity is the template's: use the bound plan
         // in case an (aggressive) optimization rewrote a parameter away.
         prepared.param_count = prepared.param_count.max(bound.parameter_count());
@@ -150,40 +140,34 @@ impl PreparedQuery {
     }
 }
 
-fn collect_deps(
-    plan: &Plan,
-    mut models: HashSet<String>,
-    mut tables: HashSet<String>,
-) -> (Vec<String>, Vec<String>) {
-    plan.visit(&mut |node| match node {
-        Plan::Scan { table, .. } => {
-            tables.insert(table.clone());
-        }
-        Plan::Predict { model, .. }
-        | Plan::TensorPredict { model, .. }
-        | Plan::KernelPredict { model, .. }
-        | Plan::ClusteredPredict { model, .. } => {
-            models.insert(model.name.clone());
-        }
-        _ => {}
-    });
-    let mut model_deps: Vec<String> = models.into_iter().collect();
-    model_deps.sort();
-    let mut table_deps: Vec<String> = tables.into_iter().collect();
-    table_deps.sort();
-    (model_deps, table_deps)
+/// The sorted, distinct model and table names `plans` reference.
+fn collect_deps(plans: &[&Plan]) -> (Vec<String>, Vec<String>) {
+    let (mut models, mut tables) = (BTreeSet::new(), BTreeSet::new());
+    for plan in plans {
+        plan.visit(&mut |node| match node {
+            Plan::Scan { table, .. } => {
+                tables.insert(table.clone());
+            }
+            Plan::Predict { model, .. }
+            | Plan::TensorPredict { model, .. }
+            | Plan::KernelPredict { model, .. }
+            | Plan::ClusteredPredict { model, .. } => {
+                models.insert(model.name.clone());
+            }
+            _ => {}
+        });
+    }
+    (models.into_iter().collect(), tables.into_iter().collect())
 }
 
-/// Counters exposed by [`PlanCache::stats`].
+/// Counters exposed by [`PlanCache::stats`], under the accounting
+/// contract of [`crate::bounded_cache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups that found a plan.
     pub hits: u64,
-    /// Lookups that found nothing. Under single-flight contention this
-    /// exceeds `preparations`: every waiter counts its first miss.
     pub misses: u64,
-    /// Parse → bind → optimize passes actually run by `get_or_prepare`
-    /// (the work the cache exists to amortize).
+    /// Parse → bind → optimize passes run, failed ones included: the
+    /// work the cache exists to amortize.
     pub preparations: u64,
     pub evictions: u64,
     pub invalidations: u64,
@@ -202,12 +186,7 @@ impl std::ops::AddAssign for PlanCacheStats {
 impl PlanCacheStats {
     /// Hit fraction in `[0, 1]` (0 when no lookups yet).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -227,241 +206,42 @@ impl fmt::Display for PlanCacheStats {
     }
 }
 
-struct Entry {
-    prepared: Arc<PreparedQuery>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<PlanKey, Entry>,
-    tick: u64,
-    stats: PlanCacheStats,
-    /// Bumped by every invalidation, under this same lock, so a
-    /// preparation that straddles a bump can atomically decide not to
-    /// cache its (possibly stale-bound) result.
-    epoch: u64,
-}
-
-impl Inner {
-    fn touch(&mut self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.prepared.clone()
-        })
+impl CacheValue for Arc<PreparedQuery> {
+    fn weight(&self) -> usize {
+        0
     }
 
-    fn insert(&mut self, capacity: usize, key: PlanKey, prepared: Arc<PreparedQuery>) {
-        self.tick += 1;
-        let tick = self.tick;
-        if !self.map.contains_key(&key) && self.map.len() >= capacity {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.map.insert(
-            key,
-            Entry {
-                prepared,
-                last_used: tick,
-            },
-        );
+    fn deps(&self) -> (&[String], &[String]) {
+        (&self.model_deps, &self.table_deps)
     }
 }
 
-/// A thread-safe LRU cache of [`PreparedQuery`]s with single-flight
-/// preparation: when N threads miss on the same key concurrently, one
-/// prepares while the rest wait and then hit — optimization runs once.
-pub struct PlanCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
-    // std primitives: waiting on a condvar needs guard-by-value semantics.
-    inflight: std::sync::Mutex<HashSet<PlanKey>>,
-    inflight_done: std::sync::Condvar,
-}
-
-/// Releases a single-flight claim on drop — including a panicking
-/// `prepare` — so waiters always wake and can retry.
-struct ClaimGuard<'a> {
-    cache: &'a PlanCache,
-    key: &'a PlanKey,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        let mut inflight = self
-            .cache
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inflight.remove(self.key);
-        self.cache.inflight_done.notify_all();
-    }
-}
+/// A tenant's cache of [`PreparedQuery`]s; see the [module docs](self).
+pub type PlanCache = BoundedCache<PlanKey, Arc<PreparedQuery>>;
 
 impl PlanCache {
-    /// `capacity` = maximum cached plans (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner::default()),
-            inflight: std::sync::Mutex::new(HashSet::new()),
-            inflight_done: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn stats(&self) -> PlanCacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Count an optimizer pass that ran outside the cache (the
-    /// cache-disabled serving path), so `preparations` stays an honest
-    /// measure of optimization work either way.
-    pub fn note_uncached_preparation(&self) {
-        self.inner.lock().stats.preparations += 1;
-    }
-
-    /// Look up without touching the hit/miss counters (used for the
-    /// post-claim double-check, which already counted its miss, and by
-    /// the fast path's probe phase, which counts via [`Self::note_hit`]
-    /// only once it commits).
-    pub(crate) fn peek(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        self.inner.lock().touch(key)
-    }
-
-    /// Count a hit observed via [`Self::peek`] once the caller commits to
-    /// serving from it, keeping hit/miss accounting identical to
-    /// [`Self::get`].
-    pub(crate) fn note_hit(&self) {
-        self.inner.lock().stats.hits += 1;
-    }
-
-    /// Look up a prepared plan, counting a hit or miss.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        let mut inner = self.inner.lock();
-        let found = inner.touch(key);
-        if found.is_some() {
-            inner.stats.hits += 1;
-        } else {
-            inner.stats.misses += 1;
+        let c = self.counters();
+        PlanCacheStats {
+            hits: c.hits,
+            misses: c.misses,
+            preparations: c.fills,
+            evictions: c.evictions,
+            invalidations: c.invalidations,
         }
-        found
     }
 
-    /// Insert a prepared plan, evicting the least-recently-used entry
-    /// when the cache is full.
-    pub fn insert(&self, key: PlanKey, prepared: Arc<PreparedQuery>) {
-        self.inner.lock().insert(self.capacity, key, prepared);
-    }
-
-    /// Cached plan for `key`, or prepare one with `prepare` (run outside
-    /// all locks, at most once per key across concurrent callers).
-    ///
-    /// Two hazards are handled here:
-    /// * a **panic** inside `prepare` releases the single-flight claim
-    ///   (RAII guard), so one pathological statement cannot wedge every
-    ///   future request for the same SQL;
-    /// * an **invalidation racing the preparation** (model update while
-    ///   parse → bind → optimize is binding the old version) prevents the
-    ///   result from being cached: the plan is still returned — the
-    ///   request began before the update — but never outlives it.
+    /// [`BoundedCache::get_or_fill`] under the epoch read as this call
+    /// starts: a plan prepared across an invalidation may be bound to
+    /// state that no longer exists, so it is served but not cached.
     pub fn get_or_prepare<E>(
         &self,
         key: PlanKey,
+        abort: impl Fn() -> Result<(), E>,
         prepare: impl FnOnce() -> Result<PreparedQuery, E>,
     ) -> Result<(Arc<PreparedQuery>, bool), E> {
-        loop {
-            if let Some(hit) = self.get(&key) {
-                return Ok((hit, true));
-            }
-            // Miss: claim the key, or wait for whoever holds it.
-            let mut inflight = self.inflight.lock().unwrap();
-            if inflight.insert(key.clone()) {
-                break;
-            }
-            let _woken = self.inflight_done.wait(inflight).unwrap();
-            // Re-check the cache; the preparer may have failed, in which
-            // case this caller claims the key and retries.
-        }
-        // From here the claim must be released on every exit path,
-        // including a panicking `prepare`.
-        let claim = ClaimGuard {
-            cache: self,
-            key: &key,
-        };
-        // Double-check after claiming: the previous holder may have
-        // inserted between our cache miss and our claim.
-        if let Some(hit) = self.peek(&key) {
-            return Ok((hit, true));
-        }
-        let epoch = {
-            let mut inner = self.inner.lock();
-            inner.stats.preparations += 1;
-            inner.epoch
-        };
-        let prepared = Arc::new(prepare()?);
-        // Insert BEFORE releasing the claim (waiters woken by the guard
-        // must see the entry on their re-check) — unless an invalidation
-        // ran while we were preparing, in which case this plan may be
-        // bound to state that no longer exists and must not be cached.
-        // Epoch re-check and insert happen under one lock acquisition so
-        // no invalidation can slip between them.
-        {
-            let mut inner = self.inner.lock();
-            if inner.epoch == epoch {
-                inner.insert(self.capacity, key.clone(), prepared.clone());
-            }
-        }
-        drop(claim);
-        Ok((prepared, false))
-    }
-
-    /// Drop every plan bound to `model`; returns how many were dropped.
-    pub fn invalidate_model(&self, model: &str) -> usize {
-        self.invalidate_where(|p| p.model_deps.iter().any(|m| m == model))
-    }
-
-    /// Drop every plan scanning `table`; returns how many were dropped.
-    pub fn invalidate_table(&self, table: &str) -> usize {
-        self.invalidate_where(|p| p.table_deps.iter().any(|t| t == table))
-    }
-
-    /// Drop all cached plans.
-    pub fn clear(&self) -> usize {
-        self.invalidate_where(|_| true)
-    }
-
-    fn invalidate_where(&self, pred: impl Fn(&PreparedQuery) -> bool) -> usize {
-        let mut inner = self.inner.lock();
-        // Bump even when nothing matches: an in-flight preparation may be
-        // binding the state this invalidation targets, and the bump is
-        // what stops it from caching the result.
-        inner.epoch += 1;
-        let before = inner.map.len();
-        inner.map.retain(|_, e| !pred(&e.prepared));
-        let dropped = before - inner.map.len();
-        inner.stats.invalidations += dropped as u64;
-        dropped
+        let epoch = self.epoch();
+        self.get_or_fill(key, epoch, abort, || prepare().map(Arc::new))
     }
 }
 
@@ -479,98 +259,97 @@ mod tests {
         }
     }
 
-    fn prepared(table: &str) -> Arc<PreparedQuery> {
+    fn prepared(sql: &str, table: &str) -> PreparedQuery {
         let plan = Plan::Scan {
             table: table.to_string(),
             schema: Schema::from_pairs(&[("x", DataType::Float64)]).into_shared(),
         };
-        Arc::new(PreparedQuery::new(
-            format!("SELECT * FROM {table}"),
-            plan,
-            OptimizationReport::default(),
-            Duration::ZERO,
-        ))
+        PreparedQuery::new(sql, plan, OptimizationReport::default(), Duration::ZERO)
+    }
+
+    /// Look `k` up, preparing a scan of `table` on a miss; returns
+    /// whether it hit.
+    fn lookup(cache: &PlanCache, k: &PlanKey, table: &str) -> bool {
+        let prepare = || Ok::<_, ()>(prepared(&k.sql, table));
+        cache
+            .get_or_prepare(k.clone(), || Ok(()), prepare)
+            .unwrap()
+            .1
     }
 
     #[test]
     fn hit_and_miss_accounting() {
-        let cache = PlanCache::new(4);
+        let cache = PlanCache::new(4, 0);
         let k = key("q1", RuleSet::all());
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), prepared("t"));
-        assert!(cache.get(&k).is_some());
-        assert!(cache.get(&k).is_some());
+        assert!(!lookup(&cache, &k, "t"));
+        assert!(lookup(&cache, &k, "t"));
+        assert!(lookup(&cache, &k, "t"));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!((stats.hits, stats.misses, stats.preparations), (2, 1, 1));
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn key_is_sensitive_to_rules_mode_and_tenant() {
-        let cache = PlanCache::new(8);
-        cache.insert(key("q", RuleSet::all()), prepared("t"));
+        let cache = PlanCache::new(8, 0);
+        assert!(!lookup(&cache, &key("q", RuleSet::all()), "t"));
         // Same SQL, different rules → different entry.
-        assert!(cache.get(&key("q", RuleSet::none())).is_none());
+        assert!(!cache.contains(&key("q", RuleSet::none())));
         // Same SQL + rules, different driver → different entry.
         let cost_based = PlanKey {
-            tenant: "default".into(),
-            sql: "q".into(),
-            rules: RuleSet::all(),
             mode: OptimizerMode::CostBased,
+            ..key("q", RuleSet::all())
         };
-        assert!(cache.get(&cost_based).is_none());
+        assert!(!cache.contains(&cost_based));
         // Same everything, different tenant → different entry.
         let other_tenant = PlanKey {
             tenant: "acme".into(),
             ..key("q", RuleSet::all())
         };
-        assert!(cache.get(&other_tenant).is_none());
-        assert!(cache.get(&key("q", RuleSet::all())).is_some());
+        assert!(!cache.contains(&other_tenant));
+        assert!(cache.contains(&key("q", RuleSet::all())));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_eviction_order() {
-        let cache = PlanCache::new(2);
-        let (a, b, c) = (
-            key("a", RuleSet::all()),
-            key("b", RuleSet::all()),
-            key("c", RuleSet::all()),
-        );
-        cache.insert(a.clone(), prepared("t"));
-        cache.insert(b.clone(), prepared("t"));
+        let cache = PlanCache::new(2, 0);
+        let [a, b, c] = ["a", "b", "c"].map(|sql| key(sql, RuleSet::all()));
+        lookup(&cache, &a, "t");
+        lookup(&cache, &b, "t");
         // Touch `a` so `b` becomes the LRU victim.
-        assert!(cache.get(&a).is_some());
-        cache.insert(c.clone(), prepared("t"));
+        assert!(lookup(&cache, &a, "t"));
+        lookup(&cache, &c, "t");
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&a).is_some(), "recently-used entry survived");
-        assert!(cache.get(&c).is_some(), "new entry present");
-        assert!(cache.get(&b).is_none(), "LRU entry evicted");
+        assert!(cache.contains(&a), "recently-used entry survived");
+        assert!(cache.contains(&c), "new entry present");
+        assert!(!cache.contains(&b), "LRU entry evicted");
     }
 
     #[test]
     fn reinserting_existing_key_does_not_evict() {
-        let cache = PlanCache::new(2);
-        let a = key("a", RuleSet::all());
-        let b = key("b", RuleSet::all());
-        cache.insert(a.clone(), prepared("t"));
-        cache.insert(b.clone(), prepared("t"));
-        cache.insert(a.clone(), prepared("t2"));
+        // A resident key is a hit: nothing is prepared or evicted.
+        let cache = PlanCache::new(2, 0);
+        let [a, b] = ["a", "b"].map(|sql| key(sql, RuleSet::all()));
+        lookup(&cache, &a, "t");
+        lookup(&cache, &b, "t");
+        assert!(lookup(&cache, &a, "t2"));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.stats().preparations, 2);
     }
 
     #[test]
     fn dependency_invalidation() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new(8, 0);
         let k1 = key("scan t1", RuleSet::all());
         let k2 = key("scan t2", RuleSet::all());
-        cache.insert(k1.clone(), prepared("t1"));
-        cache.insert(k2.clone(), prepared("t2"));
+        lookup(&cache, &k1, "t1");
+        lookup(&cache, &k2, "t2");
         assert_eq!(cache.invalidate_table("t1"), 1);
-        assert!(cache.get(&k1).is_none());
-        assert!(cache.get(&k2).is_some());
+        assert!(!cache.contains(&k1));
+        assert!(cache.contains(&k2));
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.invalidate_model("nope"), 0);
         assert_eq!(cache.clear(), 1);
@@ -580,31 +359,19 @@ mod tests {
     #[test]
     fn single_flight_prepares_once_under_contention() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = Arc::new(PlanCache::new(8, 0));
         let prepares = Arc::new(AtomicUsize::new(0));
         let k = key("hot", RuleSet::all());
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let cache = cache.clone();
-                let prepares = prepares.clone();
-                let k = k.clone();
+                let (cache, prepares, k) = (cache.clone(), prepares.clone(), k.clone());
                 std::thread::spawn(move || {
-                    let (p, _) = cache
-                        .get_or_prepare::<()>(k, || {
-                            prepares.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(Duration::from_millis(10));
-                            Ok(PreparedQuery::new(
-                                "hot",
-                                Plan::Scan {
-                                    table: "t".into(),
-                                    schema: Schema::from_pairs(&[("x", DataType::Float64)])
-                                        .into_shared(),
-                                },
-                                OptimizationReport::default(),
-                                Duration::ZERO,
-                            ))
-                        })
-                        .unwrap();
+                    let prepare = || {
+                        prepares.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(10));
+                        Ok::<_, ()>(prepared("hot", "t"))
+                    };
+                    let (p, _) = cache.get_or_prepare(k, || Ok(()), prepare).unwrap();
                     assert_eq!(p.sql, "hot");
                 })
             })
@@ -613,37 +380,30 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(prepares.load(Ordering::SeqCst), 1, "optimized exactly once");
-        assert_eq!(cache.stats().preparations, 1);
-        assert_eq!(cache.stats().misses, 8, "every first lookup missed");
+        let stats = cache.stats();
+        assert_eq!(stats.preparations, 1);
+        // One miss (the preparing leader), seven hits (waiters and late
+        // arrivals): each served request counts once.
+        assert_eq!((stats.hits, stats.misses), (7, 1), "{stats}");
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn panicking_preparation_releases_the_claim() {
-        let cache = Arc::new(PlanCache::new(4));
+        let cache = Arc::new(PlanCache::new(4, 0));
         let k = key("boom", RuleSet::all());
         let panicked = {
             let cache = cache.clone();
             let k = k.clone();
             std::thread::spawn(move || {
-                let _ = cache.get_or_prepare::<()>(k, || panic!("bad statement"));
+                let _ = cache.get_or_prepare::<()>(k, || Ok(()), || panic!("bad statement"));
             })
         };
         assert!(panicked.join().is_err(), "prepare panicked");
         // The claim must be free: the same key prepares fine afterwards
         // instead of deadlocking in the single-flight wait.
         let (p, hit) = cache
-            .get_or_prepare::<()>(k, || {
-                Ok(PreparedQuery::new(
-                    "boom",
-                    Plan::Scan {
-                        table: "t".into(),
-                        schema: Schema::from_pairs(&[("x", DataType::Float64)]).into_shared(),
-                    },
-                    OptimizationReport::default(),
-                    Duration::ZERO,
-                ))
-            })
+            .get_or_prepare::<()>(k, || Ok(()), || Ok(prepared("boom", "t")))
             .unwrap();
         assert!(!hit);
         assert_eq!(p.sql, "boom");
@@ -651,23 +411,14 @@ mod tests {
 
     #[test]
     fn invalidation_during_preparation_is_not_cached() {
-        let cache = PlanCache::new(4);
+        let cache = PlanCache::new(4, 0);
         let k = key("racy", RuleSet::all());
         // The "model update" lands while the preparation is in flight.
-        let (p, hit) = cache
-            .get_or_prepare::<()>(k.clone(), || {
-                cache.invalidate_model("m");
-                Ok(PreparedQuery::new(
-                    "racy",
-                    Plan::Scan {
-                        table: "t".into(),
-                        schema: Schema::from_pairs(&[("x", DataType::Float64)]).into_shared(),
-                    },
-                    OptimizationReport::default(),
-                    Duration::ZERO,
-                ))
-            })
-            .unwrap();
+        let prepare = || {
+            cache.invalidate_model("m");
+            Ok::<_, ()>(prepared("racy", "t"))
+        };
+        let (p, hit) = cache.get_or_prepare(k.clone(), || Ok(()), prepare).unwrap();
         assert!(!hit);
         assert_eq!(p.sql, "racy", "the request itself is still served");
         assert!(
@@ -675,21 +426,8 @@ mod tests {
             "a plan prepared across an invalidation must not be cached"
         );
         // The next request simply prepares again (and caches).
-        let (_, hit2) = cache
-            .get_or_prepare::<()>(k.clone(), || {
-                Ok(PreparedQuery::new(
-                    "racy",
-                    Plan::Scan {
-                        table: "t".into(),
-                        schema: Schema::from_pairs(&[("x", DataType::Float64)]).into_shared(),
-                    },
-                    OptimizationReport::default(),
-                    Duration::ZERO,
-                ))
-            })
-            .unwrap();
-        assert!(!hit2);
+        assert!(!lookup(&cache, &k, "t"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&k).is_some());
+        assert!(lookup(&cache, &k, "t"));
     }
 }

@@ -13,14 +13,16 @@
 //!
 //! * a **prepared-plan cache** ([`PlanCache`]): parse → bind → optimize
 //!   runs once per distinct (SQL, [`raven_opt::RuleSet`], optimizer mode)
-//!   key, with LRU eviction, single-flight preparation under concurrency,
-//!   and precise invalidation when a model or table changes;
+//!   key;
 //! * a **deterministic result cache** ([`ResultCache`]): for plans the
 //!   determinism analysis ([`raven_opt::determinism`]) proves pure,
 //!   execution itself is memoized keyed on a [`raven_ir::PlanFingerprint`]
 //!   (optimized plan × bound parameter values × model/table versions) —
-//!   the hot repeat path becomes a hash lookup, invalidated by the same
-//!   model/table updates as the plan cache;
+//!   the hot repeat path becomes a hash lookup. Both caches are
+//!   instances of one [`BoundedCache`]: LRU eviction under an entry
+//!   (and, for results, byte) bound, single-flight fills whose waiters
+//!   honour their deadline, an epoch guard, and precise invalidation
+//!   when a model or table changes;
 //! * a **micro-batcher** ([`MicroBatcher`]): concurrent single-row
 //!   scoring requests coalesce into one batched pipeline invocation per
 //!   flush window (the paper's §5 "batch inference" observation, applied
@@ -107,6 +109,7 @@
 
 pub mod admission;
 pub mod batcher;
+pub mod bounded_cache;
 pub mod cache;
 pub mod client;
 pub mod error;
@@ -120,13 +123,14 @@ pub mod tenant;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats};
 pub use batcher::{adaptive_flush_window, BatchConfig, BatchPolicy, BatcherStats, MicroBatcher};
+pub use bounded_cache::{BoundedCache, CacheCounters, CacheValue};
 pub use cache::{PlanCache, PlanCacheStats, PlanKey, PreparedQuery};
 pub use client::{ClientQueryReply, PipelinedClient, RavenClient};
 pub use error::{Result, ServerError};
 pub use net::{NetConfig, RavenServer};
 pub use normalize::{normalize, NormalizedQuery};
 pub use proto::{ErrorCode, ProtoError, Request, Response, WireStats};
-pub use result_cache::{ResultCache, ResultCacheStats, ResultDeps};
+pub use result_cache::{CachedResult, ResultCache, ResultCacheStats};
 pub use state::{ServerConfig, ServerQueryResult, ServerState};
 pub use stats::{LatencySummary, ServerStats, StatsSnapshot};
 pub use tenant::{Statement, Tenant, TenantId, TenantQuotaConfig, DEFAULT_TENANT};

@@ -1,72 +1,40 @@
 //! The deterministic result cache: execute a pure query once, replay its
 //! table for every identical repeat.
 //!
-//! Sits one layer above the prepared-plan cache ([`crate::cache`]). The
-//! plan cache amortizes parse → bind → optimize per query *shape*; this
-//! cache amortizes execution itself per (shape, parameter values,
-//! dependency versions) — the hot repeat path of serving traffic becomes
-//! a hash lookup. Keys are [`PlanFingerprint`]s computed by
-//! [`crate::ServerState`] over the optimized plan, the request's bound
-//! parameter values, and the store/catalog versions of every model and
-//! table the plan depends on; only plans the determinism analysis
-//! ([`raven_opt::determinism`]) marks pure are ever admitted.
+//! The plan cache ([`crate::cache`]) amortizes parse → bind → optimize
+//! per query *shape*; this cache amortizes execution per (shape,
+//! parameter values, dependency versions), the [`PlanFingerprint`]
+//! [`crate::Tenant`] computes for each request whose optimized plan the
+//! determinism analysis ([`raven_opt::determinism`]) marks pure.
 //!
-//! Correctness rests on three mechanisms, each of which has a test:
-//!
-//! * **version-keyed fingerprints** — a model update or table swap moves
-//!   the version, so post-update requests compute a different key and
-//!   can never hit a pre-update entry, even one that (transiently)
-//!   survived invalidation;
-//! * **dependency invalidation** — [`ResultCache::invalidate_model`] /
-//!   [`ResultCache::invalidate_table`] drop affected entries eagerly, so
-//!   stale tables do not linger holding memory;
-//! * **epoch guard** — an execution that overlaps an invalidation must
-//!   not publish its (possibly stale-input) result. The caller snapshots
-//!   [`ResultCache::epoch`] *before* resolving the plan it will execute;
-//!   the insert is dropped unless the epoch is still current, under the
-//!   same lock invalidations take.
-//!
-//! Population is **single-flight**: when N threads miss on one hot
-//! fingerprint simultaneously, one executes while the rest wait on the
-//! claim and then hit — the execution the cache exists to save is never
-//! duplicated by a stampede.
+//! [`ResultCache`] is a [`BoundedCache`] bounded by entry count
+//! (`result_cache_capacity`, default 256) and by its tables' summed
+//! approximate bytes (`result_cache_max_bytes`, default 64 MiB; 0 =
+//! unbounded). Entries are invalidated through the [`PreparedQuery`]
+//! they were computed from.
 
-use parking_lot::Mutex;
+use crate::bounded_cache::{hit_rate, BoundedCache, CacheValue};
+use crate::cache::PreparedQuery;
 use raven_data::{Column, Table};
 use raven_ir::PlanFingerprint;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How often a single-flight waiter wakes to re-poll its abort check
-/// (deadline/cancellation) while another thread populates the entry.
-const WAIT_TICK: Duration = Duration::from_millis(10);
-
-/// Counters exposed by [`ResultCache::stats`].
+/// Counters exposed by [`ResultCache::stats`], under the accounting
+/// contract of [`crate::bounded_cache`]: `hits + misses` reconciles
+/// against the served cacheable requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResultCacheStats {
-    /// Requests served by replaying a stored table (execution skipped) —
-    /// including single-flight waiters that found the entry after
-    /// waiting out the populating execution.
     pub hits: u64,
-    /// Requests served by executing (the cold path). Each successfully
-    /// served cacheable request counts exactly one hit or one miss, so
-    /// `hits + misses` reconciles against the server's query total.
     pub misses: u64,
-    /// Executions actually run by [`ResultCache::get_or_execute`]. Can
-    /// exceed `misses`: a failed execution is work done but no request
-    /// served.
+    /// Executions run, failed ones included.
     pub executions: u64,
     pub evictions: u64,
-    /// Entries dropped by model/table invalidation.
     pub invalidations: u64,
-    /// Requests that bypassed the cache because the determinism analysis
-    /// refused their plan (volatile operator) — the denominator a low
-    /// hit rate should be read against.
+    /// Requests whose plan the determinism analysis refused — the
+    /// denominator a low hit rate should be read against.
     pub uncacheable: u64,
-    /// Results served but not cached because a single table exceeded the
-    /// entire byte budget (visible, not silent).
+    /// Results served but not cached: larger than the whole byte budget.
     pub too_large: u64,
 }
 
@@ -85,12 +53,7 @@ impl std::ops::AddAssign for ResultCacheStats {
 impl ResultCacheStats {
     /// Hit fraction in `[0, 1]` over cacheable lookups (0 before any).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -112,14 +75,6 @@ impl fmt::Display for ResultCacheStats {
     }
 }
 
-/// The dependency names an entry is invalidated by, copied from the
-/// prepared plan that produced it.
-#[derive(Debug, Clone, Default)]
-pub struct ResultDeps {
-    pub models: Vec<String>,
-    pub tables: Vec<String>,
-}
-
 /// Approximate resident bytes of a materialized table — the weight the
 /// byte budget evicts against. Column payloads dominate; per-string and
 /// per-column overheads are estimated, not measured.
@@ -137,326 +92,67 @@ fn table_bytes(table: &Table) -> usize {
         .sum()
 }
 
-struct Entry {
-    table: Arc<Table>,
-    deps: ResultDeps,
-    bytes: usize,
-    last_used: u64,
+/// A memoized result: the table, and the prepared plan it was executed
+/// from, whose model and table names invalidate it.
+#[derive(Clone)]
+pub struct CachedResult {
+    pub table: Arc<Table>,
+    prepared: Arc<PreparedQuery>,
 }
 
-#[derive(Default)]
-struct Inner {
-    map: HashMap<PlanFingerprint, Entry>,
-    /// Sum of `Entry::bytes` — kept incrementally, enforced ≤ budget.
-    total_bytes: usize,
-    tick: u64,
-    stats: ResultCacheStats,
-    /// Bumped by every invalidation under this lock; see the epoch guard
-    /// contract on [`ResultCache::epoch`].
-    epoch: u64,
-}
-
-impl Inner {
-    fn touch(&mut self, key: &PlanFingerprint) -> Option<Arc<Table>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.table.clone()
-        })
+impl CacheValue for CachedResult {
+    fn weight(&self) -> usize {
+        table_bytes(&self.table)
     }
 
-    fn evict_lru(&mut self) -> bool {
-        let victim = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(e) = self.map.remove(&k) {
-                    self.total_bytes -= e.bytes;
-                }
-                self.stats.evictions += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        capacity: usize,
-        max_bytes: usize,
-        key: PlanFingerprint,
-        table: Arc<Table>,
-        deps: ResultDeps,
-    ) {
-        self.tick += 1;
-        let tick = self.tick;
-        let bytes = table_bytes(&table);
-        // A single result larger than the whole budget would evict
-        // everything and still not fit durably: serve it, skip caching
-        // it (counted so the cap is visible, not silent).
-        if max_bytes > 0 && bytes > max_bytes {
-            self.stats.too_large += 1;
-            return;
-        }
-        if let Some(old) = self.map.remove(&key) {
-            self.total_bytes -= old.bytes;
-        }
-        // Make room: entry count first, then the byte budget.
-        while self.map.len() >= capacity {
-            if !self.evict_lru() {
-                break;
-            }
-        }
-        while max_bytes > 0 && self.total_bytes + bytes > max_bytes {
-            if !self.evict_lru() {
-                break;
-            }
-        }
-        self.total_bytes += bytes;
-        self.map.insert(
-            key,
-            Entry {
-                table,
-                deps,
-                bytes,
-                last_used: tick,
-            },
-        );
+    fn deps(&self) -> (&[String], &[String]) {
+        self.prepared.deps()
     }
 }
 
-/// A bounded LRU cache of materialized result tables keyed on
-/// [`PlanFingerprint`], with single-flight population and model/table
-/// dependency invalidation.
-pub struct ResultCache {
-    capacity: usize,
-    /// Byte budget across all cached tables (0 = unbounded). Entry
-    /// count alone is no bound when entries are whole result tables.
-    max_bytes: usize,
-    inner: Mutex<Inner>,
-    // std primitives: waiting on a condvar needs guard-by-value semantics.
-    inflight: std::sync::Mutex<HashSet<PlanFingerprint>>,
-    inflight_done: std::sync::Condvar,
-}
-
-/// Releases a single-flight claim on drop — including a panicking
-/// `execute` — so waiters always wake and can retry.
-struct ClaimGuard<'a> {
-    cache: &'a ResultCache,
-    key: PlanFingerprint,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        let mut inflight = self
-            .cache
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inflight.remove(&self.key);
-        self.cache.inflight_done.notify_all();
-    }
-}
+/// A tenant's cache of result tables; see the [module docs](self).
+pub type ResultCache = BoundedCache<PlanFingerprint, CachedResult>;
 
 impl ResultCache {
-    /// `capacity` = maximum cached result tables (≥ 1); `max_bytes`
-    /// bounds their summed approximate size (0 = unbounded).
-    pub fn new(capacity: usize, max_bytes: usize) -> Self {
-        ResultCache {
-            capacity: capacity.max(1),
-            max_bytes,
-            inner: Mutex::new(Inner::default()),
-            inflight: std::sync::Mutex::new(HashSet::new()),
-            inflight_done: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Approximate bytes currently held by cached result tables.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().total_bytes
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn stats(&self) -> ResultCacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Count a request whose plan the determinism analysis refused.
-    pub fn note_uncacheable(&self) {
-        self.inner.lock().stats.uncacheable += 1;
-    }
-
-    /// The current invalidation epoch. The caller must read this
-    /// **before** resolving the plan/versions it will execute under a
-    /// fingerprint, and pass it to [`ResultCache::get_or_execute`]: any
-    /// invalidation between the two proves the inputs may have been
-    /// superseded mid-request, and the result is served but not cached.
-    pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
-    /// Look up `key`, counting a hit (and nothing on absence). Misses
-    /// are counted at serve time instead — see the accounting contract
-    /// on [`ResultCache::get_or_execute`].
-    fn lookup_hit(&self, key: &PlanFingerprint) -> Option<Arc<Table>> {
-        let mut inner = self.inner.lock();
-        let found = inner.touch(key);
-        if found.is_some() {
-            inner.stats.hits += 1;
+        let c = self.counters();
+        ResultCacheStats {
+            hits: c.hits,
+            misses: c.misses,
+            executions: c.fills,
+            evictions: c.evictions,
+            invalidations: c.invalidations,
+            uncacheable: c.bypassed,
+            too_large: c.too_large,
         }
-        found
     }
 
-    /// Look up `key` without counting anything, returning the table and
-    /// its accounted byte size. Probe phase of the reactor's fast path:
-    /// the hit is counted via [`Self::note_hit`] only once the caller
-    /// commits, so an abandoned probe (backlog full, admission busy)
-    /// leaves the accounting contract on [`Self::get_or_execute`] intact.
-    pub(crate) fn peek(&self, key: &PlanFingerprint) -> Option<(Arc<Table>, usize)> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            (e.table.clone(), e.bytes)
-        })
-    }
-
-    /// Count a hit observed via [`Self::peek`] once the caller commits to
-    /// replaying it.
-    pub(crate) fn note_hit(&self) {
-        self.inner.lock().stats.hits += 1;
-    }
-
-    /// The cached table for `key`, or execute once and (epoch
-    /// permitting) cache it. Returns the table and whether it was a hit.
-    ///
-    /// `execute` runs outside all cache locks, at most once per key
-    /// across concurrent callers; on error nothing is cached and the
-    /// next caller retries. `epoch` is the caller's pre-plan-resolution
-    /// snapshot of [`ResultCache::epoch`]. `abort` is polled while
-    /// waiting on another thread's in-flight execution (every
-    /// `WAIT_TICK`, 10 ms): a request whose deadline expires mid-wait
-    /// returns that error instead of silently outliving its deadline in
-    /// the condvar — single-flight must not suspend cancellation.
-    ///
-    /// Accounting contract: every call that returns `Ok` counts exactly
-    /// one `hit` (served by replay — including a single-flight waiter
-    /// that found the entry after waiting) or one `miss` (served by
-    /// executing), so `hits + misses` always equals successfully served
-    /// cacheable requests. A failed or abandoned attempt counts in
-    /// neither bucket: the request was not served.
+    /// [`BoundedCache::get_or_fill`] with `execute` as the fill; `epoch`
+    /// must be read before `prepared` was resolved.
     pub fn get_or_execute<E>(
         &self,
         key: PlanFingerprint,
         epoch: u64,
-        deps: ResultDeps,
+        prepared: &Arc<PreparedQuery>,
         abort: impl Fn() -> Result<(), E>,
         execute: impl FnOnce() -> Result<Table, E>,
     ) -> Result<(Arc<Table>, bool), E> {
-        loop {
-            if let Some(hit) = self.lookup_hit(&key) {
-                return Ok((hit, true));
-            }
-            abort()?;
-            // Miss: claim the key, or wait for whoever holds it.
-            let mut inflight = self.inflight.lock().unwrap();
-            if inflight.insert(key) {
-                break;
-            }
-            // Bounded wait so the abort check above runs periodically
-            // even if the populating execution is long (or wedged).
-            let (_woken, _timeout) = self
-                .inflight_done
-                .wait_timeout(inflight, WAIT_TICK)
-                .unwrap();
-            // Re-check the cache; the executor may have failed (or been
-            // epoch-blocked), in which case this caller claims and runs.
-        }
-        // From here the claim must be released on every exit path,
-        // including a panicking `execute`.
-        let claim = ClaimGuard { cache: self, key };
-        // Double-check after claiming: the previous holder may have
-        // inserted between our cache miss and our claim.
-        if let Some(hit) = self.lookup_hit(&key) {
-            return Ok((hit, true));
-        }
-        self.inner.lock().stats.executions += 1;
-        let table = Arc::new(execute()?);
-        // The request is now definitely served by execution: count its
-        // miss, and insert BEFORE releasing the claim (waiters woken by
-        // the guard must see the entry on their re-check) — unless any
-        // invalidation ran since the caller resolved its plan, in which
-        // case this result may derive from superseded inputs and must
-        // not outlive them. Epoch check and insert share one lock
-        // acquisition so no invalidation can slip between them.
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.misses += 1;
-            if inner.epoch == epoch {
-                inner.insert(self.capacity, self.max_bytes, key, table.clone(), deps);
-            }
-        }
-        drop(claim);
-        Ok((table, false))
-    }
-
-    /// Drop every result depending on `model`; returns how many.
-    pub fn invalidate_model(&self, model: &str) -> usize {
-        self.invalidate_where(|d| d.models.iter().any(|m| m == model))
-    }
-
-    /// Drop every result depending on `table`; returns how many.
-    pub fn invalidate_table(&self, table: &str) -> usize {
-        self.invalidate_where(|d| d.tables.iter().any(|t| t == table))
-    }
-
-    /// Drop all cached results.
-    pub fn clear(&self) -> usize {
-        self.invalidate_where(|_| true)
-    }
-
-    fn invalidate_where(&self, pred: impl Fn(&ResultDeps) -> bool) -> usize {
-        let mut inner = self.inner.lock();
-        // Bump even when nothing matches: an in-flight execution may be
-        // reading the state this invalidation supersedes, and the bump
-        // is what stops it from caching the result.
-        inner.epoch += 1;
-        let mut freed = 0usize;
-        let before = inner.map.len();
-        inner.map.retain(|_, e| {
-            let drop_it = pred(&e.deps);
-            if drop_it {
-                freed += e.bytes;
-            }
-            !drop_it
-        });
-        let dropped = before - inner.map.len();
-        inner.total_bytes -= freed;
-        inner.stats.invalidations += dropped as u64;
-        dropped
+        let fill = || {
+            let table = Arc::new(execute()?);
+            let prepared = prepared.clone();
+            Ok(CachedResult { table, prepared })
+        };
+        let (result, hit) = self.get_or_fill(key, epoch, abort, fill)?;
+        Ok((result.table, hit))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raven_data::{Column, DataType, Schema};
+    use raven_data::{DataType, Schema};
+    use raven_ir::Plan;
+    use raven_opt::OptimizationReport;
     use std::time::Duration;
 
     fn key(n: u64) -> PlanFingerprint {
@@ -471,30 +167,41 @@ mod tests {
         .unwrap()
     }
 
-    fn deps(model: &str, table: &str) -> ResultDeps {
-        ResultDeps {
-            models: vec![model.to_string()],
-            tables: vec![table.to_string()],
-        }
+    /// A prepared scan of `table` that also depends on `model`.
+    fn prepared(model: &str, table: &str) -> Arc<PreparedQuery> {
+        let plan = Plan::Scan {
+            table: table.to_string(),
+            schema: Schema::from_pairs(&[("x", DataType::Int64)]).into_shared(),
+        };
+        let mut p = PreparedQuery::new("q", plan, OptimizationReport::default(), Duration::ZERO);
+        p.model_deps = vec![model.to_string()];
+        Arc::new(p)
+    }
+
+    /// Serve `key(k)` at the current epoch, executing a `rows`-row table
+    /// on a miss; returns whether it hit.
+    fn run(cache: &ResultCache, k: u64, rows: i64) -> bool {
+        let epoch = cache.epoch();
+        let execute = || Ok::<_, ()>(table(rows));
+        let p = prepared("m", "t");
+        cache
+            .get_or_execute(key(k), epoch, &p, || Ok(()), execute)
+            .unwrap()
+            .1
     }
 
     #[test]
     fn hit_miss_and_execute_once() {
         let cache = ResultCache::new(4, 0);
-        let epoch = cache.epoch();
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
         let (first, hit) = cache
-            .get_or_execute::<()>(key(1), epoch, deps("m", "t"), || Ok(()), || Ok(table(3)))
+            .get_or_execute::<()>(key(1), epoch, &p, || Ok(()), || Ok(table(3)))
             .unwrap();
         assert!(!hit);
         assert_eq!(first.num_rows(), 3);
+        let must_not_run = || panic!("must not re-execute");
         let (again, hit) = cache
-            .get_or_execute::<()>(
-                key(1),
-                epoch,
-                deps("m", "t"),
-                || Ok(()),
-                || panic!("must not re-execute"),
-            )
+            .get_or_execute::<()>(key(1), epoch, &p, || Ok(()), must_not_run)
             .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &again), "replays the same table");
@@ -510,27 +217,12 @@ mod tests {
     #[test]
     fn execution_errors_are_not_cached() {
         let cache = ResultCache::new(4, 0);
-        let epoch = cache.epoch();
-        let err: Result<_, &str> = cache.get_or_execute(
-            key(1),
-            epoch,
-            ResultDeps::default(),
-            || Ok(()),
-            || Err("boom"),
-        );
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
+        let err = cache.get_or_execute(key(1), epoch, &p, || Ok(()), || Err("boom"));
         assert_eq!(err.unwrap_err(), "boom");
         assert!(cache.is_empty());
         // The next caller executes (claim released, nothing cached).
-        let (_, hit) = cache
-            .get_or_execute::<()>(
-                key(1),
-                epoch,
-                ResultDeps::default(),
-                || Ok(()),
-                || Ok(table(1)),
-            )
-            .unwrap();
-        assert!(!hit);
+        assert!(!run(&cache, 1, 1));
         let stats = cache.stats();
         assert_eq!(stats.executions, 2, "the failed attempt was real work");
         assert_eq!(
@@ -543,39 +235,26 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let cache = ResultCache::new(2, 0);
-        let epoch = cache.epoch();
-        let run = |k: u64| {
-            cache
-                .get_or_execute::<()>(
-                    key(k),
-                    epoch,
-                    ResultDeps::default(),
-                    || Ok(()),
-                    || Ok(table(1)),
-                )
-                .unwrap()
-        };
-        run(1);
-        run(2);
-        run(1); // touch 1 so 2 becomes the victim
-        run(3);
+        run(&cache, 1, 1);
+        run(&cache, 2, 1);
+        run(&cache, 1, 1); // touch 1 so 2 becomes the victim
+        run(&cache, 3, 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        let stats_before = cache.stats();
-        run(2); // must re-execute: it was evicted
-        assert_eq!(cache.stats().executions, stats_before.executions + 1);
+        assert!(!run(&cache, 2, 1), "2 was evicted: it re-executes");
+        assert_eq!(cache.stats().executions, 4);
     }
 
     #[test]
     fn dependency_invalidation_is_precise() {
         let cache = ResultCache::new(8, 0);
         let epoch = cache.epoch();
-        cache
-            .get_or_execute::<()>(key(1), epoch, deps("m1", "t1"), || Ok(()), || Ok(table(1)))
-            .unwrap();
-        cache
-            .get_or_execute::<()>(key(2), epoch, deps("m2", "t2"), || Ok(()), || Ok(table(1)))
-            .unwrap();
+        for (k, (m, t)) in [(1, ("m1", "t1")), (2, ("m2", "t2"))] {
+            let p = prepared(m, t);
+            cache
+                .get_or_execute::<()>(key(k), epoch, &p, || Ok(()), || Ok(table(1)))
+                .unwrap();
+        }
         assert_eq!(cache.invalidate_model("m1"), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidate_table("t2"), 1);
@@ -589,18 +268,13 @@ mod tests {
         let cache = ResultCache::new(4, 0);
         // Epoch snapshotted before "plan resolution"; the model update
         // lands while execution is in flight.
-        let epoch = cache.epoch();
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
+        let execute = || {
+            cache.invalidate_model("m");
+            Ok::<_, ()>(table(5))
+        };
         let (result, hit) = cache
-            .get_or_execute::<()>(
-                key(1),
-                epoch,
-                deps("m", "t"),
-                || Ok(()),
-                || {
-                    cache.invalidate_model("m");
-                    Ok(table(5))
-                },
-            )
+            .get_or_execute(key(1), epoch, &p, || Ok(()), execute)
             .unwrap();
         assert!(!hit);
         assert_eq!(result.num_rows(), 5, "the request itself is still served");
@@ -609,86 +283,21 @@ mod tests {
             "a result executed across an invalidation must not be cached"
         );
         // A fresh request (post-invalidation epoch) executes and caches.
-        let epoch = cache.epoch();
-        let (_, hit) = cache
-            .get_or_execute::<()>(key(1), epoch, deps("m", "t"), || Ok(()), || Ok(table(6)))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn stale_epoch_from_before_claim_is_not_cached() {
-        // The race the epoch guard exists for: the caller resolved its
-        // plan, THEN an invalidation ran, THEN it executed. Its epoch is
-        // stale even though nothing happened during `execute` itself.
-        let cache = ResultCache::new(4, 0);
-        let epoch = cache.epoch();
-        cache.invalidate_model("m"); // supersedes the caller's inputs
-        let (result, hit) = cache
-            .get_or_execute::<()>(key(1), epoch, deps("m", "t"), || Ok(()), || Ok(table(2)))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(result.num_rows(), 2);
-        assert!(cache.is_empty(), "stale-epoch result must not be published");
-    }
-
-    #[test]
-    fn single_flight_executes_once_under_contention() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = Arc::new(ResultCache::new(8, 0));
-        let executions = Arc::new(AtomicUsize::new(0));
-        let epoch = cache.epoch();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = cache.clone();
-                let executions = executions.clone();
-                std::thread::spawn(move || {
-                    let (t, _) = cache
-                        .get_or_execute::<()>(
-                            key(7),
-                            epoch,
-                            ResultDeps::default(),
-                            || Ok(()),
-                            || {
-                                executions.fetch_add(1, Ordering::SeqCst);
-                                std::thread::sleep(Duration::from_millis(10));
-                                Ok(table(4))
-                            },
-                        )
-                        .unwrap();
-                    assert_eq!(t.num_rows(), 4);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            executions.load(Ordering::SeqCst),
-            1,
-            "executed exactly once"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.executions, 1);
-        // Request-accurate accounting even under contention: 8 served
-        // requests = 1 miss (the executing leader) + 7 hits (waiters
-        // and/or late arrivals) — never double-counted.
-        assert_eq!((stats.hits, stats.misses), (7, 1), "{stats}");
+        assert!(!run(&cache, 1, 6));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn panicking_execution_releases_the_claim() {
         let cache = Arc::new(ResultCache::new(4, 0));
-        let epoch = cache.epoch();
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
         let panicked = {
-            let cache = cache.clone();
+            let (cache, p) = (cache.clone(), p.clone());
             std::thread::spawn(move || {
                 let _ = cache.get_or_execute::<()>(
                     key(9),
                     epoch,
-                    ResultDeps::default(),
+                    &p,
                     || Ok(()),
                     || panic!("bad execution"),
                 );
@@ -698,137 +307,56 @@ mod tests {
         // The claim must be free: the same key executes fine afterwards
         // instead of deadlocking in the single-flight wait.
         let (t, hit) = cache
-            .get_or_execute::<()>(
-                key(9),
-                epoch,
-                ResultDeps::default(),
-                || Ok(()),
-                || Ok(table(2)),
-            )
+            .get_or_execute::<()>(key(9), epoch, &p, || Ok(()), || Ok(table(2)))
             .unwrap();
         assert!(!hit);
         assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
+    fn stale_epoch_from_before_claim_is_not_cached() {
+        // The race the epoch guard exists for: the caller resolved its
+        // plan, THEN an invalidation ran, THEN it executed. Its epoch is
+        // stale even though nothing happened during `execute` itself.
+        let cache = ResultCache::new(4, 0);
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
+        cache.invalidate_model("m"); // supersedes the caller's inputs
+        let (result, hit) = cache
+            .get_or_execute::<()>(key(1), epoch, &p, || Ok(()), || Ok(table(2)))
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(result.num_rows(), 2);
+        assert!(cache.is_empty(), "stale-epoch result must not be published");
+    }
+
+    #[test]
     fn byte_budget_evicts_lru_until_fit() {
         // Each 100-row Int64 table weighs ~800 bytes; budget fits two.
         let cache = ResultCache::new(64, 1700);
-        let epoch = cache.epoch();
-        let run = |k: u64| {
-            cache
-                .get_or_execute::<()>(
-                    key(k),
-                    epoch,
-                    ResultDeps::default(),
-                    || Ok(()),
-                    || Ok(table(100)),
-                )
-                .unwrap()
-        };
-        run(1);
-        run(2);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.resident_bytes() <= 1700);
-        run(3); // over budget: the LRU entry (1) must go
-        assert_eq!(cache.len(), 2);
-        assert!(cache.resident_bytes() <= 1700, "{}", cache.resident_bytes());
+        run(&cache, 1, 100);
+        run(&cache, 2, 100);
+        assert_eq!((cache.len(), cache.weight()), (2, 1600));
+        run(&cache, 3, 100); // over budget: the LRU entry (1) must go
+        assert_eq!((cache.len(), cache.weight()), (2, 1600));
         assert_eq!(cache.stats().evictions, 1);
-        // Key 1 was evicted: repeating it re-executes.
-        let before = cache.stats().executions;
-        run(1);
-        assert_eq!(cache.stats().executions, before + 1);
+        assert!(!run(&cache, 1, 100), "1 was evicted: it re-executes");
     }
 
     #[test]
     fn single_result_larger_than_budget_is_served_not_cached() {
         let cache = ResultCache::new(64, 100);
-        let epoch = cache.epoch();
+        let (epoch, p) = (cache.epoch(), prepared("m", "t"));
+        // ~8000 bytes >> 100-byte budget.
         let (t, hit) = cache
-            .get_or_execute::<()>(
-                key(1),
-                epoch,
-                ResultDeps::default(),
-                || Ok(()),
-                || {
-                    Ok(table(1000)) // ~8000 bytes >> 100-byte budget
-                },
-            )
+            .get_or_execute::<()>(key(1), epoch, &p, || Ok(()), || Ok(table(1000)))
             .unwrap();
         assert!(!hit);
         assert_eq!(t.num_rows(), 1000, "the request itself is served");
         assert!(cache.is_empty(), "an oversized result must not be cached");
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.weight(), 0);
         assert_eq!(cache.stats().too_large, 1, "the skip is visible");
         // The repeat executes again (and is again not cached).
-        let (_, hit) = cache
-            .get_or_execute::<()>(
-                key(1),
-                epoch,
-                ResultDeps::default(),
-                || Ok(()),
-                || Ok(table(1000)),
-            )
-            .unwrap();
-        assert!(!hit);
+        assert!(!run(&cache, 1, 1000));
         assert_eq!(cache.stats().executions, 2);
-    }
-
-    #[test]
-    fn waiter_abort_is_honored_while_leader_executes() {
-        use std::time::Instant;
-        let cache = Arc::new(ResultCache::new(8, 0));
-        let epoch = cache.epoch();
-        let started = Arc::new(std::sync::Barrier::new(2));
-        // Leader: holds the claim for ~300 ms.
-        let leader = {
-            let cache = cache.clone();
-            let started = started.clone();
-            std::thread::spawn(move || {
-                cache
-                    .get_or_execute::<String>(
-                        key(5),
-                        epoch,
-                        ResultDeps::default(),
-                        || Ok(()),
-                        || {
-                            started.wait();
-                            std::thread::sleep(Duration::from_millis(300));
-                            Ok(table(1))
-                        },
-                    )
-                    .unwrap();
-            })
-        };
-        started.wait(); // leader is now inside execute, claim held
-                        // Waiter with a 40 ms "deadline": must return the abort error
-                        // long before the leader finishes, not block for the full 300 ms.
-        let begin = Instant::now();
-        let deadline = begin + Duration::from_millis(40);
-        let err = cache
-            .get_or_execute::<String>(
-                key(5),
-                epoch,
-                ResultDeps::default(),
-                || {
-                    if Instant::now() >= deadline {
-                        Err("deadline exceeded".to_string())
-                    } else {
-                        Ok(())
-                    }
-                },
-                || Ok(table(1)),
-            )
-            .unwrap_err();
-        assert_eq!(err, "deadline exceeded");
-        assert!(
-            begin.elapsed() < Duration::from_millis(200),
-            "waiter must abort promptly, waited {:?}",
-            begin.elapsed()
-        );
-        leader.join().unwrap();
-        // The abandoned request counted neither hit nor miss.
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1), "{stats}");
     }
 }

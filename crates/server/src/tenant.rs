@@ -34,7 +34,7 @@ use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{BatcherStats, MicroBatcher};
 use crate::cache::{PlanCache, PlanCacheStats, PlanKey, PreparedQuery};
 use crate::error::{Result, ServerError};
-use crate::result_cache::{ResultCache, ResultCacheStats, ResultDeps};
+use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::state::{ServerConfig, ServerQueryResult};
 use crate::stats::{ServerStats, StatsSnapshot};
 use raven_core::{ModelStore, RavenSession};
@@ -322,9 +322,9 @@ impl Tenant {
             store,
             scorer,
             executor,
-            plan_cache: PlanCache::new(config.plan_cache_capacity.max(1)),
+            plan_cache: PlanCache::new(config.plan_cache_capacity, 0),
             result_cache: ResultCache::new(
-                config.result_cache_capacity.max(1),
+                config.result_cache_capacity,
                 config.result_cache_max_bytes,
             ),
             batcher,
@@ -402,7 +402,8 @@ impl Tenant {
     /// Prepare `sql` through this tenant's plan cache; returns the
     /// prepared plan and whether it was a cache hit.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
-        let resolved = self.prepare_statement(Statement::Sql(sql), &SpanRecorder::disabled())?;
+        let untraced = SpanRecorder::disabled();
+        let resolved = self.prepare_statement(Statement::Sql(sql), None, &untraced)?;
         Ok((resolved.prepared, resolved.cache_hit))
     }
 
@@ -480,14 +481,16 @@ impl Tenant {
     }
 
     /// [`Tenant::resolve`] through the counted plan cache, preparing on a
-    /// miss.
+    /// miss. A wait on another thread's preparation ends at `deadline_at`.
     fn prepare_statement<'a>(
         &self,
         stmt: Statement<'a>,
+        deadline_at: Option<Instant>,
         trace: &SpanRecorder,
     ) -> Result<Resolved<'a>> {
+        let lookup = |text: &str| self.prepare_text(text, deadline_at, trace).map(Some);
         let resolved = self
-            .resolve(stmt, trace, |text| self.prepare_text(text, trace).map(Some))?
+            .resolve(stmt, trace, lookup)?
             .expect("a preparing lookup never declines");
         if resolved.normalized {
             self.stats.record_normalized(resolved.cache_hit);
@@ -497,7 +500,12 @@ impl Tenant {
 
     /// Prepare exactly this text (template or literal SQL), consulting
     /// this tenant's plan cache keyed on (tenant, text, optimizer config).
-    fn prepare_text(&self, sql: &str, trace: &SpanRecorder) -> Result<(Arc<PreparedQuery>, bool)> {
+    fn prepare_text(
+        &self,
+        sql: &str,
+        deadline_at: Option<Instant>,
+        trace: &SpanRecorder,
+    ) -> Result<(Arc<PreparedQuery>, bool)> {
         let _span = trace.span("plan-cache-lookup");
         let key = PlanKey {
             tenant: self.id.as_str().to_string(),
@@ -507,11 +515,17 @@ impl Tenant {
         };
         if self.config.plan_cache_capacity == 0 {
             let prepared = self.prepare_uncached(sql, trace)?;
-            self.plan_cache.note_uncached_preparation();
+            self.plan_cache.note_uncached_fill();
             return Ok((Arc::new(prepared), false));
         }
+        let abort = || match deadline_at {
+            Some(at) if Instant::now() >= at => Err(ServerError::DeadlineExceeded(
+                "deadline passed while another request prepared the same plan".into(),
+            )),
+            _ => Ok(()),
+        };
         self.plan_cache
-            .get_or_prepare(key, || self.prepare_uncached(sql, trace))
+            .get_or_prepare(key, abort, || self.prepare_uncached(sql, trace))
     }
 
     fn prepare_uncached(&self, sql: &str, trace: &SpanRecorder) -> Result<PreparedQuery> {
@@ -597,7 +611,7 @@ impl Tenant {
             rules: self.config.session.rules,
             mode: self.config.session.optimizer_mode,
         };
-        self.plan_cache.peek(&key)
+        self.plan_cache.peek(&key).map(|(prepared, _)| prepared)
     }
 
     /// The absolute deadline of a request that arrived at `start`: its
@@ -653,11 +667,14 @@ impl Tenant {
         };
         self.stats.record_admitted();
         // The result-cache epoch is snapshotted before the plan this
-        // request executes is resolved; see [`ResultCache::epoch`].
+        // request executes is resolved: the epoch guard of
+        // [`crate::bounded_cache`].
         let result_epoch = self.result_cache.epoch();
-        let outcome = self.prepare_statement(stmt, &trace).and_then(|resolved| {
-            self.run_prepared(resolved, start, deadline_at, result_epoch, &trace)
-        });
+        let outcome = self
+            .prepare_statement(stmt, deadline_at, &trace)
+            .and_then(|resolved| {
+                self.run_prepared(resolved, start, deadline_at, result_epoch, &trace)
+            });
         let total = match &outcome {
             Ok(result) => result.total_time,
             Err(_) => {
@@ -705,7 +722,7 @@ impl Tenant {
             return None;
         }
         let fingerprint = self.result_fingerprint(&resolved.prepared, &resolved.params);
-        let (table, bytes) = self.result_cache.peek(&fingerprint)?;
+        let (cached, bytes) = self.result_cache.peek(&fingerprint)?;
         if bytes > max_bytes {
             // The reply may not fit the connection's backlog budget;
             // the pooled path's streaming backpressure handles it.
@@ -732,11 +749,11 @@ impl Tenant {
         }
         self.result_cache.note_hit();
         let total_time = start.elapsed();
-        self.stats.record_query(total_time, table.num_rows());
+        self.stats.record_query(total_time, cached.table.num_rows());
         self.trace_sink
             .finish(trace, self.id.as_str(), stmt.text(), total_time);
         Some(ServerQueryResult {
-            table,
+            table: cached.table,
             total_time,
             exec_time: total_time,
             cache_hit: true,
@@ -747,8 +764,7 @@ impl Tenant {
 
     /// Execute a prepared (possibly parameterized) plan under the
     /// deadline's cancellation token, routing deterministic plans through
-    /// this tenant's result cache. See the pre-tenancy contract on
-    /// [`ResultCache::get_or_execute`] — unchanged, now per tenant.
+    /// this tenant's result cache ([`ResultCache::get_or_execute`]).
     fn run_prepared(
         &self,
         resolved: Resolved<'_>,
@@ -781,10 +797,6 @@ impl Tenant {
                 let _span = trace.span("fingerprint");
                 self.result_fingerprint(&prepared, &params)
             };
-            let deps = ResultDeps {
-                models: prepared.model_deps.clone(),
-                tables: prepared.table_deps.clone(),
-            };
             // The lookup span covers the whole get_or_execute: on a hit
             // it is the replay cost, on a miss the per-operator spans of
             // the execution nest inside it.
@@ -793,7 +805,7 @@ impl Tenant {
                 .get_or_execute(
                     fingerprint,
                     result_epoch,
-                    deps,
+                    &prepared,
                     // Polled while waiting on another thread's in-flight
                     // execution of the same fingerprint: this request's
                     // deadline keeps firing even though it runs no plan.
@@ -806,7 +818,7 @@ impl Tenant {
                 .map_err(map_exec_err)?
         } else {
             if caching {
-                self.result_cache.note_uncacheable();
+                self.result_cache.note_bypass();
             }
             let table = self
                 .executor
