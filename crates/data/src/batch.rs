@@ -134,8 +134,12 @@ impl RecordBatch {
         RecordBatch::try_new(self.schema.clone(), columns)
     }
 
-    /// Gather rows by index.
+    /// Gather rows by index. Indices that are exactly `0..num_rows()`
+    /// return this batch with its columns shared, not copied.
     pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
+        if indices.len() == self.rows && indices.iter().enumerate().all(|(i, &row)| i == row) {
+            return Ok(self.clone());
+        }
         let columns = self
             .columns
             .iter()
@@ -266,6 +270,24 @@ mod tests {
         let s = b.slice(1, 2).unwrap();
         assert_eq!(s.num_rows(), 1);
         assert_eq!(s.row(0).unwrap()[0], Value::Int64(2));
+    }
+
+    #[test]
+    fn take_shares_columns_only_for_rows_in_order() {
+        let b = sample().slice(0, 2).unwrap();
+        let shared = |t: &RecordBatch| -> Vec<bool> {
+            let pairs = t.columns().iter().zip(b.columns());
+            pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        let all = b.take(&[0, 1]).unwrap();
+        assert_eq!(shared(&all), [true, true]);
+        assert_eq!(all, b);
+        // A permutation, a duplicate and a prefix are gathered.
+        let swapped = b.take(&[1, 0]).unwrap();
+        assert_eq!(shared(&swapped), [false, false]);
+        assert_eq!(swapped.column(0).unwrap().i64_values().unwrap(), &[2, 1]);
+        assert_eq!(shared(&b.take(&[0, 0]).unwrap()), [false, false]);
+        assert_eq!(shared(&b.take(&[0]).unwrap()), [false, false]);
     }
 
     #[test]

@@ -279,11 +279,7 @@ impl<'a> Executor<'a> {
                 let masks = self.morsel_map(batch.num_rows(), true, |lo, hi| {
                     evaluate_predicate_range(predicate, &batch, lo, hi)
                 })?;
-                let selected = selection(&concat_parts(masks));
-                if selected.len() == batch.num_rows() {
-                    return Ok(batch);
-                }
-                Ok(batch.take(&selected)?)
+                Ok(batch.take(&selection(&concat_parts(masks)))?)
             }
             Plan::Project { input, exprs } => {
                 let batch = self.exec(input)?;
@@ -372,8 +368,10 @@ impl<'a> Executor<'a> {
             }
             Plan::Limit { input, fetch } => {
                 let batch = self.exec(input)?;
-                let end = (*fetch).min(batch.num_rows());
-                Ok(batch.slice(0, end)?)
+                if *fetch >= batch.num_rows() {
+                    return Ok(batch);
+                }
+                Ok(batch.slice(0, *fetch)?)
             }
             Plan::Predict { input, .. }
             | Plan::TensorPredict { input, .. }
@@ -472,16 +470,28 @@ impl<'a> Executor<'a> {
     ) -> Result<RecordBatch> {
         let lcol = left.column_by_name(left_key)?.view();
         let rcol = right.column_by_name(right_key)?.view();
-        // Keys hash in place, typed: Float64 by bit pattern, so a NaN
-        // joins a NaN of the same bits and -0.0 does not join 0.0.
+        // Dense Int64 keys index an array; every other key hashes in
+        // place, typed: Float64 by bit pattern, so a NaN joins a NaN of
+        // the same bits and -0.0 does not join 0.0.
         let (left_idx, right_idx) = match (lcol, rcol) {
-            (ColumnRef::Int64(l), ColumnRef::Int64(r)) => join_rows(l, r, |&x| x),
-            (ColumnRef::Float64(l), ColumnRef::Float64(r)) => join_rows(l, r, |x| x.to_bits()),
-            (ColumnRef::Bool(l), ColumnRef::Bool(r)) => join_rows(l, r, |&x| x),
-            (ColumnRef::Utf8(l), ColumnRef::Utf8(r)) => join_rows(l, r, String::as_str),
+            (ColumnRef::Int64(l), ColumnRef::Int64(r)) => match DenseHeads::over(r) {
+                Some(dense) => join_rows(dense, l, r, |&x| x),
+                None => join_rows(HashMap::with_capacity(r.len()), l, r, |&x| x),
+            },
+            (ColumnRef::Float64(l), ColumnRef::Float64(r)) => {
+                join_rows(HashMap::with_capacity(r.len()), l, r, |x| x.to_bits())
+            }
+            (ColumnRef::Bool(l), ColumnRef::Bool(r)) => {
+                join_rows(HashMap::with_capacity(r.len()), l, r, |&x| x)
+            }
+            (ColumnRef::Utf8(l), ColumnRef::Utf8(r)) => {
+                join_rows(HashMap::with_capacity(r.len()), l, r, String::as_str)
+            }
             // Keys of different types never match.
             _ => (Vec::new(), Vec::new()),
         };
+        // A side whose rows come out exactly in order is shared, not
+        // gathered (`take` checks).
         let lout = left.take(&left_idx)?;
         let rout = right.take(&right_idx)?;
         let schema = Arc::new(lout.schema().join(rout.schema()));
@@ -491,28 +501,105 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// The end of a chain of right rows, and an empty slot of [`DenseHeads`].
+const END: usize = usize::MAX;
+
+/// The largest span of right key values, per right row, that gets an
+/// array build. A slot is one `usize`, 8 bytes, so the array takes at most
+/// `8 × 2 = 16` bytes per right row. The `HashMap<i64, usize>` it replaces
+/// holds a 16-byte entry and a control byte in each bucket, with at least
+/// 8 buckets per 7 rows: more than `17 × 8 / 7 ≈ 19.4` bytes per right
+/// row. So at 2 the array is never bigger than the map.
+const DENSE_SPAN_FACTOR: usize = 2;
+
+/// A join's build table: the first right row of each key's chain.
+trait Heads<K> {
+    /// Make `row` the head of `key`'s chain; returns the old head, or
+    /// [`END`].
+    fn push(&mut self, key: K, row: usize) -> usize;
+    /// The head of `key`'s chain, or [`END`].
+    fn head(&self, key: &K) -> usize;
+}
+
+impl<K: Hash + Eq> Heads<K> for HashMap<K, usize> {
+    fn push(&mut self, key: K, row: usize) -> usize {
+        self.insert(key, row).unwrap_or(END)
+    }
+
+    fn head(&self, key: &K) -> usize {
+        self.get(key).copied().unwrap_or(END)
+    }
+}
+
+/// Heads for Int64 keys over a dense domain: one slot per value in
+/// `[min, max]`, indexed by `key − min`, with no hashing.
+struct DenseHeads {
+    min: i64,
+    max: i64,
+    slots: Vec<usize>,
+}
+
+impl DenseHeads {
+    /// Empty heads over the right keys' `[min, max]`, or `None` when
+    /// there are no keys or they span more than [`DENSE_SPAN_FACTOR`]
+    /// values per key. The span is counted in `i128`, so `i64::MIN` and
+    /// `i64::MAX` in one column fall back instead of overflowing.
+    fn over(keys: &[i64]) -> Option<Self> {
+        let &first = keys.first()?;
+        let (min, max) = keys
+            .iter()
+            .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let span = i128::from(max) - i128::from(min) + 1;
+        if span > (DENSE_SPAN_FACTOR * keys.len()) as i128 {
+            return None;
+        }
+        Some(DenseHeads {
+            min,
+            max,
+            slots: vec![END; span as usize],
+        })
+    }
+
+    /// The slot of a key in `[min, max]`; the span fits, so `key − min`
+    /// cannot overflow.
+    fn slot(&self, key: i64) -> usize {
+        (key - self.min) as usize
+    }
+}
+
+impl Heads<i64> for DenseHeads {
+    fn push(&mut self, key: i64, row: usize) -> usize {
+        let slot = self.slot(key);
+        std::mem::replace(&mut self.slots[slot], row)
+    }
+
+    fn head(&self, &key: &i64) -> usize {
+        if key < self.min || key > self.max {
+            return END;
+        }
+        self.slots[self.slot(key)]
+    }
+}
+
 /// The matching `(left, right)` row pairs of an equi-join on `key`, left
 /// rows in order, each with its right matches ascending. The right side
 /// builds one chained table: `heads` maps a key to its first right row,
 /// and `next` links each right row to the following one with that key.
-fn join_rows<'a, T, K: Hash + Eq>(
+fn join_rows<'a, T, K>(
+    mut heads: impl Heads<K>,
     left: &'a [T],
     right: &'a [T],
     key: impl Fn(&'a T) -> K,
 ) -> (Vec<usize>, Vec<usize>) {
-    const END: usize = usize::MAX;
-    let mut heads: HashMap<K, usize> = HashMap::with_capacity(right.len());
     let mut next = vec![END; right.len()];
     // Built back to front, so each chain walks its rows ascending.
     for (row, v) in right.iter().enumerate().rev() {
-        if let Some(head) = heads.insert(key(v), row) {
-            next[row] = head;
-        }
+        next[row] = heads.push(key(v), row);
     }
     let mut left_rows = Vec::with_capacity(left.len());
     let mut right_rows = Vec::with_capacity(left.len());
     for (row, v) in left.iter().enumerate() {
-        let mut r = heads.get(&key(v)).copied().unwrap_or(END);
+        let mut r = heads.head(&key(v));
         while r != END {
             left_rows.push(row);
             right_rows.push(r);
@@ -901,6 +988,94 @@ mod tests {
             &[120.0, 130.0, 150.0]
         );
         assert_eq!(t.schema().names().len(), 5);
+    }
+
+    /// For each output column, whether it is the very column (by `Arc`)
+    /// that the catalog's tables hold, in order.
+    fn shared_with(out: &Table, cat: &Catalog, tables: &[&str]) -> Vec<bool> {
+        let inputs: Vec<Arc<Column>> = tables
+            .iter()
+            .flat_map(|name| cat.table(name).unwrap().batch().columns().to_vec())
+            .collect();
+        let pairs = out.batch().columns().iter().zip(&inputs);
+        pairs.map(|(o, i)| Arc::ptr_eq(o, i)).collect()
+    }
+
+    #[test]
+    fn join_shares_the_sides_whose_rows_come_out_in_order() {
+        let cat = Catalog::new();
+        for (name, keys) in [
+            ("a", vec![1i64, 2, 3]),
+            ("aligned", vec![1, 2, 3]),
+            ("permuted", vec![3, 2, 1]),
+            ("repeated", vec![1, 1, 2, 3]),
+        ] {
+            let schema = Schema::from_pairs(&[
+                (&format!("{name}_id") as &str, DataType::Int64),
+                (&format!("{name}_x"), DataType::Float64),
+            ]);
+            let x = keys.iter().map(|&k| k as f64).collect::<Vec<_>>();
+            let t = Table::try_new(schema.into_shared(), vec![keys.into(), x.into()]).unwrap();
+            cat.register(name, t).unwrap();
+        }
+        let join = |right: &str| {
+            let plan = Plan::Join {
+                left: Box::new(scan(&cat, "a")),
+                right: Box::new(scan(&cat, right)),
+                left_key: "a_id".into(),
+                right_key: format!("{right}_id"),
+                kind: JoinKind::Inner,
+            };
+            let t = exec(&cat, &plan);
+            (t.num_rows(), shared_with(&t, &cat, &["a", right]))
+        };
+        // A 1:1 join in order copies nothing; a permuted right side and a
+        // repeated left row are gathered, and the other side shared.
+        assert_eq!(join("aligned"), (3, vec![true; 4]));
+        assert_eq!(join("permuted"), (3, vec![true, true, false, false]));
+        assert_eq!(join("repeated"), (4, vec![false, false, true, true]));
+    }
+
+    #[test]
+    fn operators_pass_input_in_order_through() {
+        let cat = catalog();
+        let people = || Box::new(scan(&cat, "people"));
+        let shared = |plan: Plan| shared_with(&exec(&cat, &plan), &cat, &["people"]);
+        let keep_all = Plan::Filter {
+            input: people(),
+            predicate: Expr::col("age").gt(Expr::lit(0i64)),
+        };
+        let sorted = |descending| Plan::Sort {
+            input: people(),
+            column: "id".into(),
+            descending,
+        };
+        let limit = |fetch| Plan::Limit {
+            input: people(),
+            fetch,
+        };
+        assert_eq!(shared(keep_all), [true; 3]);
+        assert_eq!(shared(sorted(false)), [true; 3]);
+        assert_eq!(shared(sorted(true)), [false; 3]);
+        assert_eq!(shared(limit(4)), [true; 3]);
+        assert_eq!(shared(limit(5)), [true; 3]);
+        assert_eq!(shared(limit(3)), [false; 3]);
+        assert_eq!(exec(&cat, &limit(5)).num_rows(), 4);
+    }
+
+    #[test]
+    fn array_build_takes_spans_up_to_the_cutoff() {
+        // Two keys may span 2 × 2 = 4 values.
+        assert!(DenseHeads::over(&[-7, -4]).is_some());
+        assert!(DenseHeads::over(&[-7, -3]).is_none());
+        assert!(DenseHeads::over(&[i64::MIN, i64::MAX]).is_none());
+        assert!(DenseHeads::over(&[]).is_none());
+        let mut heads = DenseHeads::over(&[5, 6]).unwrap();
+        assert_eq!(heads.push(6, 1), END);
+        assert_eq!(heads.push(6, 0), 1);
+        assert_eq!(heads.head(&6), 0);
+        let misses = [4, 5, 7, i64::MIN, i64::MAX].map(|k| heads.head(&k));
+        assert_eq!(misses, [END; 5]);
     }
 
     #[test]

@@ -202,6 +202,117 @@ fn prefixed(table: &Table, prefix: &str) -> Table {
     Table::try_new(Schema::new(fields).into_shared(), columns).unwrap()
 }
 
+/// `table` with the named column replaced by Int64 `values`.
+fn with_ints(table: &Table, name: &str, values: Vec<i64>) -> Table {
+    let idx = table.schema().index_of(name).unwrap();
+    let mut columns: Vec<Column> = table
+        .batch()
+        .columns()
+        .iter()
+        .map(|c| (**c).clone())
+        .collect();
+    columns[idx] = Column::Int64(values);
+    Table::try_new(table.schema().clone(), columns).unwrap()
+}
+
+/// The shapes of join keys. The executor builds an array over the right
+/// keys' `[min, max]` when they span at most 2 values per right row
+/// (`DENSE_SPAN_FACTOR`), and hashes otherwise; a side whose matched
+/// rows come out as exactly `0..n` is shared instead of gathered.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum KeyShape {
+    /// The tables' own small-domain keys, of every type, and mixed pairs
+    /// of types that never match.
+    Small,
+    /// Int64 keys over about one value per right row, so they repeat and
+    /// some left keys fall outside the right keys' range.
+    Dense,
+    /// Int64 keys 1 000 apart: far past the cutoff.
+    Sparse,
+    /// Right keys that span exactly 2 values per right row.
+    AtCutoff,
+    /// Right keys that span one value past the cutoff.
+    PastCutoff,
+    /// `i64::MIN`, `i64::MAX` and their neighbours, both extremes in the
+    /// right column, so the span overflows an `i64`.
+    Extremes,
+    /// Unique ascending keys, the same on both sides: row `i` joins row
+    /// `i`, so both sides come out in order.
+    Aligned,
+    /// The aligned keys shuffled on the right: a 1:1 join whose right
+    /// rows come out as a permutation of the same length.
+    Shuffled,
+}
+
+const KEY_SHAPES: [KeyShape; 8] = [
+    KeyShape::Small,
+    KeyShape::Dense,
+    KeyShape::Sparse,
+    KeyShape::AtCutoff,
+    KeyShape::PastCutoff,
+    KeyShape::Extremes,
+    KeyShape::Aligned,
+    KeyShape::Shuffled,
+];
+
+const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+/// Left and right Int64 keys of `shape`, from a base that may be
+/// negative.
+fn int_keys(g: &mut Gen, shape: KeyShape, left: usize, right: usize) -> (Vec<i64>, Vec<i64>) {
+    let base = g.below(2001) as i64 - 1000;
+    let draw = |g: &mut Gen, rows: usize, f: &dyn Fn(&mut Gen) -> i64| -> Vec<i64> {
+        (0..rows).map(|_| f(g)).collect()
+    };
+    // Places `lo` and `hi` at two distinct random rows, when there are two.
+    let pin = |g: &mut Gen, keys: &mut Vec<i64>, lo: i64, hi: i64| {
+        if keys.len() >= 2 {
+            let i = g.below(keys.len());
+            let j = (i + 1 + g.below(keys.len() - 1)) % keys.len();
+            keys[i] = lo;
+            keys[j] = hi;
+        }
+    };
+    match shape {
+        KeyShape::Small => unreachable!("small keys come with the tables"),
+        KeyShape::Dense => {
+            let n = right.max(1);
+            let r = draw(g, right, &|g| base + g.below(n) as i64);
+            let l = draw(g, left, &|g| base - 2 + g.below(n + 4) as i64);
+            (l, r)
+        }
+        KeyShape::Sparse => {
+            let n = right.max(1);
+            let key = |g: &mut Gen| base + 1000 * g.below(n) as i64;
+            let r = draw(g, right, &key);
+            let l = draw(g, left, &|g| key(g) + i64::from(g.chance(4)));
+            (l, r)
+        }
+        KeyShape::AtCutoff | KeyShape::PastCutoff => {
+            let span = 2 * right + usize::from(shape == KeyShape::PastCutoff);
+            let mut r = draw(g, right, &|g| base + g.below(span) as i64);
+            pin(g, &mut r, base, base + span as i64 - 1);
+            let l = draw(g, left, &|g| base - 1 + g.below(span + 2) as i64);
+            (l, r)
+        }
+        KeyShape::Extremes => {
+            let mut r = draw(g, right, &|g| *g.pick(&EXTREMES));
+            pin(g, &mut r, i64::MIN, i64::MAX);
+            (draw(g, left, &|g| *g.pick(&EXTREMES)), r)
+        }
+        KeyShape::Aligned | KeyShape::Shuffled => {
+            let keys = |rows: usize| (0..rows as i64).map(|k| base + k).collect::<Vec<_>>();
+            let mut r = keys(right);
+            if shape == KeyShape::Shuffled {
+                for i in (1..r.len()).rev() {
+                    r.swap(i, g.below(i + 1));
+                }
+            }
+            (keys(left), r)
+        }
+    }
+}
+
 fn scan(table: &Table) -> Plan {
     scan_named("t", table)
 }
@@ -579,8 +690,11 @@ proptest! {
     #[test]
     fn join_matches_row_at_a_time(seed in 0..u64::MAX, left_rows in rows(), right_rows in rows()) {
         let mut g = Gen(seed);
-        let left = random_table(&mut g, left_rows);
-        let right = prefixed(&random_table(&mut g, right_rows), "r_");
+        let shape = *g.pick(&KEY_SHAPES);
+        let one_to_one = matches!(shape, KeyShape::Aligned | KeyShape::Shuffled);
+        let right_rows = if one_to_one { left_rows } else { right_rows };
+        let mut left = random_table(&mut g, left_rows);
+        let mut right = prefixed(&random_table(&mut g, right_rows), "r_");
         // Every key type against itself — floats with NaN, -0.0 and 0.0
         // among their few values — plus mixed pairs that never match.
         let pairs = [
@@ -592,15 +706,31 @@ proptest! {
             ("f1", "r_i0"),
             ("b0", "r_i1"),
         ];
-        let (left_key, right_key) = *g.pick(&pairs);
+        let (left_key, right_key) = if shape == KeyShape::Small {
+            *g.pick(&pairs)
+        } else {
+            let (l, r) = int_keys(&mut g, shape, left_rows, right_rows);
+            left = with_ints(&left, "i0", l);
+            right = with_ints(&right, "r_i1", r);
+            ("i0", "r_i1")
+        };
+        // Half the time a filter thins the left side first, as pushdown
+        // does; over aligned keys its rows still come out in order.
+        let mut left_plan = scan_named("l", &left);
+        let mut left_in = left.batch().clone();
+        if g.chance(2) {
+            let predicate = predicate(&mut g, 1);
+            left_in = reference_filter(&left_in, &predicate);
+            left_plan = Plan::Filter { input: Box::new(left_plan), predicate };
+        }
         let plan = Plan::Join {
-            left: Box::new(scan_named("l", &left)),
+            left: Box::new(left_plan),
             right: Box::new(scan_named("r", &right)),
             left_key: left_key.into(),
             right_key: right_key.into(),
             kind: JoinKind::Inner,
         };
-        let want = reference_join(left.batch(), right.batch(), &plan);
+        let want = reference_join(&left_in, right.batch(), &plan);
         check_over(&[("l", &left), ("r", &right)], &plan, Some(&want));
     }
 }
