@@ -9,7 +9,7 @@
 //! external execution modes carry their fixed startup overheads.
 
 use raven_ir::{ExecutionMode, Expr, Plan};
-use raven_ml::{Estimator, FlatForest};
+use raven_ml::{Estimator, FlatForest, Pipeline};
 
 /// Tunable cost constants (abstract units ≈ ns-ish; only ratios matter).
 #[derive(Debug, Clone, Copy)]
@@ -130,8 +130,7 @@ pub fn estimate(plan: &Plan, catalog: &raven_data::Catalog, params: &CostParams)
             input, model, mode, ..
         } => {
             let (c, rows) = estimate(input, catalog, params);
-            let per_row = model_row_cost(model.pipeline.estimator(), params)
-                + model.pipeline.n_features() as f64 * 0.5;
+            let per_row = classical_row_cost(&model.pipeline, params);
             let fixed = match mode {
                 ExecutionMode::InProcess => params.engine_switch,
                 ExecutionMode::OutOfProcess => params.out_of_process_startup,
@@ -146,9 +145,7 @@ pub fn estimate(plan: &Plan, catalog: &raven_data::Catalog, params: &CostParams)
         }
         Plan::TensorPredict { input, model, .. } => {
             let (c, rows) = estimate(input, catalog, params);
-            let per_row = model_row_cost(model.pipeline.estimator(), params)
-                * params.tensor_discount
-                + model.pipeline.n_features() as f64 * 0.25;
+            let per_row = tensor_row_cost(&model.pipeline, params);
             (c + params.engine_switch + rows * per_row, rows)
         }
         Plan::KernelPredict { input, flat, .. } => {
@@ -199,6 +196,20 @@ pub fn model_row_cost(estimator: &Estimator, params: &CostParams) -> f64 {
                 * params.mlp_param
         }
     }
+}
+
+/// Per-row cost of classical (row-at-a-time) scoring of a pipeline,
+/// featurization included.
+pub fn classical_row_cost(pipeline: &Pipeline, params: &CostParams) -> f64 {
+    model_row_cost(pipeline.estimator(), params) + pipeline.n_features() as f64 * 0.5
+}
+
+/// Per-row cost of a pipeline's tensor translation: batched GEMMs
+/// discount the model work, and features move as `f32`. Analytic, so
+/// pricing the translation needs no graph.
+pub fn tensor_row_cost(pipeline: &Pipeline, params: &CostParams) -> f64 {
+    model_row_cost(pipeline.estimator(), params) * params.tensor_discount
+        + pipeline.n_features() as f64 * 0.25
 }
 
 /// Per-row scoring cost of a flattened ensemble under the columnar

@@ -161,8 +161,9 @@ pub fn optimize(plan: Plan, ctx: &OptimizerContext<'_>) -> Result<(Plan, Optimiz
 /// standard folding/pushdown first (so predicates sit right above scans
 /// and below models), then data→model pruning, then model→data projection
 /// pushdown + join elimination, then the operator transformations
-/// (inlining before translation — small trees prefer the relational
-/// engine; what remains goes to the tensor runtime).
+/// (inlining before realization — small trees prefer the relational
+/// engine; what remains is priced and realized classically, on the
+/// columnar kernel or on the tensor runtime).
 fn heuristic_fixpoint(
     mut plan: Plan,
     ctx: &OptimizerContext<'_>,
@@ -220,21 +221,24 @@ fn heuristic_fixpoint(
             plan = next;
         }
     }
-    if ctx.rules.nn_translation {
-        let next = rules::translation::apply(plan.clone(), ctx)?;
-        if next != plan {
+    // Realization last, in one pass: translation and kernel placement
+    // price each surviving model operator's alternatives (classical vs
+    // columnar kernel vs tensor) and build only the cheapest, so a model
+    // placed on the kernel is never translated.
+    if ctx.rules.nn_translation || ctx.rules.kernel_placement {
+        let (next, realized) = rules::placement::realize(
+            plan,
+            ctx,
+            ctx.rules.nn_translation,
+            ctx.rules.kernel_placement,
+        )?;
+        if realized.translated {
             report.bump("nn_translation");
-            plan = next;
         }
-    }
-    // Placement last: it prices whatever model operators survived the
-    // transformations above (classical vs columnar kernel vs tensor).
-    if ctx.rules.kernel_placement {
-        let next = rules::placement::apply(plan.clone(), ctx)?;
-        if next != plan {
+        if realized.placed {
             report.bump("kernel_placement");
-            plan = next;
         }
+        plan = next;
     }
     Ok(plan)
 }

@@ -1,88 +1,188 @@
-//! Cost-based kernel placement: choose, per model operator, between
+//! Cost-based model realization: choose, per model operator, between
 //! classical row-at-a-time scoring, the columnar tree/forest kernel, and
-//! the tensor-graph translation.
+//! the tensor-graph translation — from prices alone, then build only the
+//! winner.
 //!
-//! Runs after inlining and NN translation, so by the time it fires the
-//! plan carries exactly the model operators that survived those rules:
-//! big ensembles the inliner refused (too many nodes) either stayed
-//! classical `Predict` or became `TensorPredict`. For each such operator
-//! whose estimator is a tree or forest, this rule prices the current
-//! strategy against the flattened columnar kernel using the cost model —
-//! and, when the serving layer has observed real per-row latencies
-//! (`batcher_ewma_*` gauges surfaced as [`ObservedCosts`](crate::ObservedCosts)), the observed
-//! classical cost replaces the static estimate, closing the feedback loop
+//! `realize` runs once, after inlining, over the model operators that
+//! survived it. Each in-process `Predict` has a default realization: the
+//! tensor translation when NN translation is on, classical scoring when
+//! it is off. When kernel placement is on and the estimator is a tree or
+//! forest, the default is priced against the flattened columnar kernel
+//! with the cost model, and the kernel replaces it if cheaper. Both
+//! prices are analytic — the tensor price is the model's per-row cost
+//! discounted by `tensor_discount` — so no graph is built to price one:
+//! a forest that lands on the kernel is never translated into a GEMM
+//! graph. When the serving layer has observed real per-row latencies
+//! (`batcher_ewma_*` gauges surfaced as
+//! [`ObservedCosts`](crate::ObservedCosts)), the observed cost replaces
+//! the static estimate of *classical* scoring, closing the feedback loop
 //! from execution telemetry back into planning.
+//!
+//! A `TensorPredict` already in the plan is priced as a tensor graph the
+//! same way. The two rules' entry points — [`apply`] here and
+//! [`crate::rules::translation::apply`] — are this pass with one of its
+//! two choices switched off.
 
 use crate::context::OptimizerContext;
-use crate::cost::{estimate, kernel_row_cost, model_row_cost};
-use raven_ir::{ExecutionMode, Plan};
+use crate::cost::{classical_row_cost, estimate, kernel_row_cost, tensor_row_cost};
+use crate::error::OptError;
+use crate::rules::translation::translation_of;
+use raven_ir::{ExecutionMode, ModelRef, Plan};
 use raven_ml::{Estimator, FlatForest};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Rewrite tree/forest model operators to `KernelPredict` wherever the
-/// cost model says the columnar kernel is the cheapest strategy.
+/// cost model says the columnar kernel is cheaper than their current
+/// realization (a `Predict` priced as classical scoring).
 pub fn apply(plan: Plan, ctx: &OptimizerContext<'_>) -> crate::Result<Plan> {
-    let params = &ctx.cost_params;
+    realize(plan, ctx, false, true).map(|(plan, _)| plan)
+}
+
+/// Which of the two choices [`realize`] applied, for the optimizer report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Realized {
+    /// Some in-process `Predict` took the tensor translation as its
+    /// default realization (built, or priced and beaten by the kernel).
+    pub translated: bool,
+    /// Some model operator landed on the columnar kernel.
+    pub placed: bool,
+}
+
+/// Choose and build each model operator's realization: with `translate`
+/// an in-process `Predict` defaults to its tensor translation, otherwise
+/// to classical scoring; with `place` a tree or forest moves to the
+/// columnar kernel wherever that is cheaper than its default. The
+/// translation is built only for operators that keep it.
+pub(crate) fn realize(
+    plan: Plan,
+    ctx: &OptimizerContext<'_>,
+    translate: bool,
+    place: bool,
+) -> crate::Result<(Plan, Realized)> {
+    let failure: RefCell<Option<OptError>> = RefCell::new(None);
+    let translated = Cell::new(false);
+    let placed = Cell::new(false);
     let out = plan.transform_up(&|node| {
-        // Only in-process tree/forest operators are candidates; external
-        // modes score in their own runtime and everything else (linear,
-        // MLP) has no columnar tree kernel.
-        let (input, model, output, current_per_row, current_fixed) = match &node {
+        if failure.borrow().is_some() {
+            return node;
+        }
+        // External modes score in their own runtime: never candidates.
+        let (input, model, as_tensor) = match &node {
             Plan::Predict {
                 input,
                 model,
-                output,
                 mode: ExecutionMode::InProcess,
-            } => {
-                let estimator = model.pipeline.estimator();
-                if !matches!(estimator, Estimator::Tree(_) | Estimator::Forest(_)) {
-                    return node;
-                }
-                // Feedback: prefer the observed per-row cost of the
-                // classical path over the static estimate when available.
-                let static_row =
-                    model_row_cost(estimator, params) + model.pipeline.n_features() as f64 * 0.5;
-                let per_row = ctx.observed.classical_row_ns.unwrap_or(static_row);
-                (input, model, output, per_row, params.engine_switch)
-            }
-            Plan::TensorPredict {
-                input,
-                model,
-                output,
                 ..
             } => {
-                let estimator = model.pipeline.estimator();
-                if !matches!(estimator, Estimator::Tree(_) | Estimator::Forest(_)) {
-                    return node;
-                }
-                let per_row = model_row_cost(estimator, params) * params.tensor_discount
-                    + model.pipeline.n_features() as f64 * 0.25;
-                (input, model, output, per_row, params.engine_switch)
+                translated.set(translated.get() || translate);
+                (input, model, translate)
             }
+            Plan::TensorPredict { input, model, .. } => (input, model, true),
             _ => return node,
         };
-        // Flattening can fail only for estimators we already filtered
-        // out; treat any residual failure as "keep the current plan".
-        let Ok(flat) = FlatForest::from_pipeline(&model.pipeline) else {
-            return node;
-        };
-        let (_, rows) = estimate(input, ctx.catalog, params);
-        let current = current_fixed + rows * current_per_row;
-        let kernel_fixed =
-            params.engine_switch + flat.n_nodes() as f64 * params.kernel_setup_per_node;
-        let kernel = kernel_fixed + rows * kernel_row_cost(&flat, params);
-        if kernel < current {
-            Plan::KernelPredict {
-                input: input.clone(),
-                model: model.clone(),
-                flat: Arc::new(flat),
-                output: output.clone(),
+        let kernel = place
+            .then(|| kernel_beats(input, model, as_tensor, ctx))
+            .flatten();
+        match (node, kernel) {
+            (
+                Plan::Predict {
+                    input,
+                    model,
+                    output,
+                    ..
+                }
+                | Plan::TensorPredict {
+                    input,
+                    model,
+                    output,
+                    ..
+                },
+                Some(flat),
+            ) => {
+                placed.set(true);
+                Plan::KernelPredict {
+                    input,
+                    model,
+                    flat: Arc::new(flat),
+                    output,
+                }
             }
-        } else {
-            node
+            (
+                Plan::Predict {
+                    input,
+                    model,
+                    output,
+                    mode,
+                },
+                None,
+            ) if translate => match translation_of(&model) {
+                Ok(graph) => Plan::TensorPredict {
+                    input,
+                    model,
+                    graph,
+                    output,
+                    device: ctx.device,
+                },
+                Err(e) => {
+                    *failure.borrow_mut() = Some(e);
+                    Plan::Predict {
+                        input,
+                        model,
+                        output,
+                        mode,
+                    }
+                }
+            },
+            (other, _) => other,
         }
     });
-    Ok(out)
+    match failure.into_inner() {
+        Some(e) => Err(e),
+        None => Ok((
+            out,
+            Realized {
+                translated: translated.get(),
+                placed: placed.get(),
+            },
+        )),
+    }
+}
+
+/// The flattened kernel for a tree/forest operator, if the kernel is
+/// cheaper than its default realization (tensor translation when
+/// `as_tensor`, classical scoring otherwise); `None` for any other
+/// estimator.
+fn kernel_beats(
+    input: &Plan,
+    model: &ModelRef,
+    as_tensor: bool,
+    ctx: &OptimizerContext<'_>,
+) -> Option<FlatForest> {
+    let params = &ctx.cost_params;
+    if !matches!(
+        model.pipeline.estimator(),
+        Estimator::Tree(_) | Estimator::Forest(_)
+    ) {
+        return None;
+    }
+    let per_row = if as_tensor {
+        tensor_row_cost(&model.pipeline, params)
+    } else {
+        // Feedback: prefer the observed per-row cost of the classical
+        // path over the static estimate when available.
+        ctx.observed
+            .classical_row_ns
+            .unwrap_or_else(|| classical_row_cost(&model.pipeline, params))
+    };
+    // Flattening can fail only for estimators filtered out above; treat
+    // any residual failure as "keep the default".
+    let flat = FlatForest::from_pipeline(&model.pipeline).ok()?;
+    let (_, rows) = estimate(input, ctx.catalog, params);
+    let current = params.engine_switch + rows * per_row;
+    let kernel_fixed = params.engine_switch + flat.n_nodes() as f64 * params.kernel_setup_per_node;
+    let kernel = kernel_fixed + rows * kernel_row_cost(&flat, params);
+    (kernel < current).then_some(flat)
 }
 
 #[cfg(test)]
@@ -232,5 +332,235 @@ mod tests {
             mode: ExecutionMode::InProcess,
         };
         assert_eq!(apply(plan.clone(), &ctx).unwrap(), plan);
+    }
+
+    /// The estimators of the realization table: a tree and a forest too
+    /// big to inline (601 and 48 × 17 nodes), an MLP and a logistic
+    /// regression (neither inlinable).
+    fn table_estimator(kind: &str) -> Estimator {
+        use raven_ml::mlp::Layer;
+        use raven_ml::{LinearKind, LinearModel, Mlp};
+        match kind {
+            "tree" => Estimator::Tree(deep_tree(300)),
+            "forest" => Estimator::Forest(
+                RandomForest::from_trees((0..48).map(|_| deep_tree(8)).collect()).unwrap(),
+            ),
+            "mlp" => Estimator::Mlp(
+                Mlp::new(
+                    vec![
+                        Layer {
+                            w: vec![0.5; 8],
+                            b: vec![0.1; 8],
+                            n_in: 1,
+                            n_out: 8,
+                        },
+                        Layer {
+                            w: vec![0.25; 8],
+                            b: vec![0.0],
+                            n_in: 8,
+                            n_out: 1,
+                        },
+                    ],
+                    LinearKind::Logistic,
+                )
+                .unwrap(),
+            ),
+            _ => Estimator::Linear(LinearModel::new(vec![2.0], 0.5, LinearKind::Logistic).unwrap()),
+        }
+    }
+
+    /// The model operator the optimized plan realizes the model as
+    /// (`"inlined"` if none is left).
+    fn realization(plan: &Plan) -> &'static str {
+        let mut found = "inlined";
+        plan.visit(&mut |p| match p {
+            Plan::Predict { .. } => found = "Predict",
+            Plan::TensorPredict { .. } => found = "TensorPredict",
+            Plan::KernelPredict { .. } => found = "KernelPredict",
+            _ => {}
+        });
+        found
+    }
+
+    /// Every estimator kind × table size × observed cost × the two rule
+    /// toggles, through the whole optimizer: the realization chosen must
+    /// be the one the optimizer chose when translation ran before
+    /// placement and placement priced the built `TensorPredict` (the
+    /// table below was recorded from that order).
+    #[test]
+    fn realization_table_is_unchanged() {
+        use crate::context::RuleSet;
+        use crate::optimizer::optimize;
+        #[rustfmt::skip]
+        let table: &[(&str, usize, &str, bool, bool, &str)] = &[
+        ("tree", 1, "none", false, false, "Predict"),
+        ("tree", 1, "none", false, true, "Predict"),
+        ("tree", 1, "none", true, false, "TensorPredict"),
+        ("tree", 1, "none", true, true, "TensorPredict"),
+        ("tree", 1, "cheap", false, false, "Predict"),
+        ("tree", 1, "cheap", false, true, "Predict"),
+        ("tree", 1, "cheap", true, false, "TensorPredict"),
+        ("tree", 1, "cheap", true, true, "TensorPredict"),
+        ("tree", 1, "dear", false, false, "Predict"),
+        ("tree", 1, "dear", false, true, "KernelPredict"),
+        ("tree", 1, "dear", true, false, "TensorPredict"),
+        ("tree", 1, "dear", true, true, "TensorPredict"),
+        ("forest", 1, "none", false, false, "Predict"),
+        ("forest", 1, "none", false, true, "Predict"),
+        ("forest", 1, "none", true, false, "TensorPredict"),
+        ("forest", 1, "none", true, true, "TensorPredict"),
+        ("forest", 1, "cheap", false, false, "Predict"),
+        ("forest", 1, "cheap", false, true, "Predict"),
+        ("forest", 1, "cheap", true, false, "TensorPredict"),
+        ("forest", 1, "cheap", true, true, "TensorPredict"),
+        ("forest", 1, "dear", false, false, "Predict"),
+        ("forest", 1, "dear", false, true, "KernelPredict"),
+        ("forest", 1, "dear", true, false, "TensorPredict"),
+        ("forest", 1, "dear", true, true, "TensorPredict"),
+        ("mlp", 1, "none", false, false, "Predict"),
+        ("mlp", 1, "none", false, true, "Predict"),
+        ("mlp", 1, "none", true, false, "TensorPredict"),
+        ("mlp", 1, "none", true, true, "TensorPredict"),
+        ("mlp", 1, "cheap", false, false, "Predict"),
+        ("mlp", 1, "cheap", false, true, "Predict"),
+        ("mlp", 1, "cheap", true, false, "TensorPredict"),
+        ("mlp", 1, "cheap", true, true, "TensorPredict"),
+        ("mlp", 1, "dear", false, false, "Predict"),
+        ("mlp", 1, "dear", false, true, "Predict"),
+        ("mlp", 1, "dear", true, false, "TensorPredict"),
+        ("mlp", 1, "dear", true, true, "TensorPredict"),
+        ("linear", 1, "none", false, false, "Predict"),
+        ("linear", 1, "none", false, true, "Predict"),
+        ("linear", 1, "none", true, false, "TensorPredict"),
+        ("linear", 1, "none", true, true, "TensorPredict"),
+        ("linear", 1, "cheap", false, false, "Predict"),
+        ("linear", 1, "cheap", false, true, "Predict"),
+        ("linear", 1, "cheap", true, false, "TensorPredict"),
+        ("linear", 1, "cheap", true, true, "TensorPredict"),
+        ("linear", 1, "dear", false, false, "Predict"),
+        ("linear", 1, "dear", false, true, "Predict"),
+        ("linear", 1, "dear", true, false, "TensorPredict"),
+        ("linear", 1, "dear", true, true, "TensorPredict"),
+        ("tree", 50000, "none", false, false, "Predict"),
+        ("tree", 50000, "none", false, true, "KernelPredict"),
+        ("tree", 50000, "none", true, false, "TensorPredict"),
+        ("tree", 50000, "none", true, true, "KernelPredict"),
+        ("tree", 50000, "cheap", false, false, "Predict"),
+        ("tree", 50000, "cheap", false, true, "Predict"),
+        ("tree", 50000, "cheap", true, false, "TensorPredict"),
+        ("tree", 50000, "cheap", true, true, "KernelPredict"),
+        ("tree", 50000, "dear", false, false, "Predict"),
+        ("tree", 50000, "dear", false, true, "KernelPredict"),
+        ("tree", 50000, "dear", true, false, "TensorPredict"),
+        ("tree", 50000, "dear", true, true, "KernelPredict"),
+        ("forest", 50000, "none", false, false, "Predict"),
+        ("forest", 50000, "none", false, true, "KernelPredict"),
+        ("forest", 50000, "none", true, false, "TensorPredict"),
+        ("forest", 50000, "none", true, true, "KernelPredict"),
+        ("forest", 50000, "cheap", false, false, "Predict"),
+        ("forest", 50000, "cheap", false, true, "Predict"),
+        ("forest", 50000, "cheap", true, false, "TensorPredict"),
+        ("forest", 50000, "cheap", true, true, "KernelPredict"),
+        ("forest", 50000, "dear", false, false, "Predict"),
+        ("forest", 50000, "dear", false, true, "KernelPredict"),
+        ("forest", 50000, "dear", true, false, "TensorPredict"),
+        ("forest", 50000, "dear", true, true, "KernelPredict"),
+        ("mlp", 50000, "none", false, false, "Predict"),
+        ("mlp", 50000, "none", false, true, "Predict"),
+        ("mlp", 50000, "none", true, false, "TensorPredict"),
+        ("mlp", 50000, "none", true, true, "TensorPredict"),
+        ("mlp", 50000, "cheap", false, false, "Predict"),
+        ("mlp", 50000, "cheap", false, true, "Predict"),
+        ("mlp", 50000, "cheap", true, false, "TensorPredict"),
+        ("mlp", 50000, "cheap", true, true, "TensorPredict"),
+        ("mlp", 50000, "dear", false, false, "Predict"),
+        ("mlp", 50000, "dear", false, true, "Predict"),
+        ("mlp", 50000, "dear", true, false, "TensorPredict"),
+        ("mlp", 50000, "dear", true, true, "TensorPredict"),
+        ("linear", 50000, "none", false, false, "Predict"),
+        ("linear", 50000, "none", false, true, "Predict"),
+        ("linear", 50000, "none", true, false, "TensorPredict"),
+        ("linear", 50000, "none", true, true, "TensorPredict"),
+        ("linear", 50000, "cheap", false, false, "Predict"),
+        ("linear", 50000, "cheap", false, true, "Predict"),
+        ("linear", 50000, "cheap", true, false, "TensorPredict"),
+        ("linear", 50000, "cheap", true, true, "TensorPredict"),
+        ("linear", 50000, "dear", false, false, "Predict"),
+        ("linear", 50000, "dear", false, true, "Predict"),
+        ("linear", 50000, "dear", true, false, "TensorPredict"),
+        ("linear", 50000, "dear", true, true, "TensorPredict"),
+        ];
+        for &(kind, rows, observed, translate, place, want) in table {
+            let cat = catalog(rows);
+            let classical_row_ns = match observed {
+                "cheap" => Some(1.0),
+                "dear" => Some(1e9),
+                _ => None,
+            };
+            let rules = RuleSet {
+                stats_derived_predicates: false,
+                nn_translation: translate,
+                kernel_placement: place,
+                ..RuleSet::all()
+            };
+            let ctx = OptimizerContext::new(&cat)
+                .with_rules(rules)
+                .with_observed(ObservedCosts { classical_row_ns });
+            let pipeline = Pipeline::new(
+                vec![FeatureStep::new("x", Transform::Identity)],
+                table_estimator(kind),
+            )
+            .unwrap();
+            let Plan::Predict {
+                input,
+                output,
+                mode,
+                ..
+            } = forest_predict(&cat, 1, 1)
+            else {
+                unreachable!()
+            };
+            let plan = Plan::Predict {
+                input,
+                model: ModelRef {
+                    name: kind.into(),
+                    pipeline: Arc::new(pipeline),
+                },
+                output,
+                mode,
+            };
+            let (out, _) = optimize(plan, &ctx).unwrap();
+            assert_eq!(
+                realization(&out),
+                want,
+                "{kind}, {rows} rows, observed {observed}, translation {translate}, \
+                 placement {place}"
+            );
+        }
+    }
+
+    /// A forest the kernel wins is priced as a tensor graph but never
+    /// translated: no GEMM graph is built. With placement off the same
+    /// forest is translated, once.
+    #[test]
+    fn kernel_placed_forest_builds_no_graph() {
+        use crate::rules::translation::GRAPHS_BUILT;
+        let cat = catalog(10_000);
+        let ctx = OptimizerContext::new(&cat);
+        let built = || GRAPHS_BUILT.with(|n| n.get());
+        let before = built();
+        let (out, realized) = realize(forest_predict(&cat, 48, 8), &ctx, true, true).unwrap();
+        assert!(matches!(out, Plan::KernelPredict { .. }), "{out}");
+        assert_eq!(
+            realized,
+            Realized {
+                translated: true,
+                placed: true
+            }
+        );
+        assert_eq!(built(), before, "a kernel-placed forest was translated");
+        let (out, _) = realize(forest_predict(&cat, 48, 8), &ctx, true, false).unwrap();
+        assert!(matches!(out, Plan::TensorPredict { .. }), "{out}");
+        assert_eq!(built(), before + 1);
     }
 }

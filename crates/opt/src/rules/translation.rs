@@ -3,69 +3,40 @@
 //! pipeline's GEMM translation on the integrated tensor runtime.
 
 use crate::context::OptimizerContext;
-use crate::error::OptError;
 use crate::Result;
-use raven_ir::{ExecutionMode, Plan};
+use raven_ir::{ModelRef, Plan};
 use raven_ml::translate::translate_pipeline;
-use std::cell::RefCell;
+use raven_tensor::Graph;
 use std::sync::Arc;
 
 /// Translate every in-process `Predict` into a `TensorPredict`.
+///
+/// This is the realization pass (`placement::realize`) with kernel
+/// placement off: the optimizer runs both choices in that one pass, so
+/// that a model placed on the columnar kernel is never translated.
 pub fn apply(plan: Plan, ctx: &OptimizerContext<'_>) -> Result<Plan> {
-    let failure: RefCell<Option<OptError>> = RefCell::new(None);
-    let out = plan.transform_up(&|node| {
-        if failure.borrow().is_some() {
-            return node;
-        }
-        let Plan::Predict {
-            input,
-            model,
-            output,
-            mode,
-        } = node
-        else {
-            return node;
-        };
-        // Out-of-process / containerized operators stay classical — the
-        // external runtime scores the original pipeline.
-        if mode != ExecutionMode::InProcess {
-            return Plan::Predict {
-                input,
-                model,
-                output,
-                mode,
-            };
-        }
-        match translate_pipeline(&model.pipeline) {
-            Ok(graph) => Plan::TensorPredict {
-                input,
-                model,
-                graph: Arc::new(graph),
-                output,
-                device: ctx.device,
-            },
-            Err(e) => {
-                *failure.borrow_mut() = Some(e.into());
-                Plan::Predict {
-                    input,
-                    model,
-                    output,
-                    mode,
-                }
-            }
-        }
-    });
-    match failure.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    crate::rules::placement::realize(plan, ctx, true, false).map(|(plan, _)| plan)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Graphs [`translation_of`] built on this thread, so a test can show
+    /// that a realization decision built none.
+    pub(crate) static GRAPHS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The pipeline's GEMM translation, for a `TensorPredict`.
+pub(crate) fn translation_of(model: &ModelRef) -> Result<Arc<Graph>> {
+    #[cfg(test)]
+    GRAPHS_BUILT.with(|n| n.set(n.get() + 1));
+    Ok(Arc::new(translate_pipeline(&model.pipeline)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use raven_data::{Catalog, Column, DataType, Schema, Table};
-    use raven_ir::{Device, ModelRef};
+    use raven_ir::{Device, ExecutionMode};
     use raven_ml::featurize::Transform;
     use raven_ml::{Estimator, FeatureStep, LinearKind, LinearModel, Pipeline};
 

@@ -381,15 +381,22 @@ impl<'a> Executor<'a> {
                 let batch = self.exec(input)?;
                 let rows = batch.num_rows();
                 let allow_parallel = self.scorer.parallelizable(plan);
+                // The columns the scorer reads, shared from the input;
+                // built by the first morsel that needs them.
+                let scored: OnceLock<Option<RecordBatch>> = OnceLock::new();
                 // `morsel_map` checks the token before every morsel, so a
                 // cancelled request never reaches the scorer.
                 let scores = self.morsel_map(rows, allow_parallel, |lo, hi| {
                     // Scorers take a batch, so a morsel short of the whole
-                    // input is copied out.
+                    // input is copied out: only the scorer's columns.
                     let morsel = if (lo, hi) == (0, rows) {
                         Cow::Borrowed(&batch)
                     } else {
-                        Cow::Owned(batch.slice(lo, hi)?)
+                        let scored = scored.get_or_init(|| {
+                            let columns = scorer_columns(plan, batch.schema())?;
+                            batch.project(&columns).ok()
+                        });
+                        Cow::Owned(scored.as_ref().unwrap_or(&batch).slice(lo, hi)?)
                     };
                     // The label closure only runs when the recorder is live.
                     let _span = self
@@ -621,6 +628,41 @@ fn selection(mask: &[bool]) -> Vec<usize> {
     }
     rows.truncate(kept);
     rows
+}
+
+/// Input columns a model operator's scorer reads, as ascending indices
+/// into `schema` (so names resolve in the projection exactly as in the
+/// whole batch). `None` when that set is not known — a UDF — or some
+/// name does not resolve here; the scorer then gets every column and
+/// reports the bad name itself.
+fn scorer_columns(plan: &Plan, schema: &Schema) -> Option<Vec<usize>> {
+    let pipelines: Vec<&raven_ml::Pipeline> = match plan {
+        Plan::Predict { model, .. }
+        | Plan::TensorPredict { model, .. }
+        | Plan::KernelPredict { model, .. } => vec![&model.pipeline],
+        Plan::ClusteredPredict {
+            model,
+            cluster_models,
+            ..
+        } => std::iter::once(&model.pipeline)
+            .chain(cluster_models)
+            .map(|p| p.as_ref())
+            .collect(),
+        _ => return None,
+    };
+    let route_columns = match plan {
+        Plan::ClusteredPredict { route_columns, .. } => route_columns.as_slice(),
+        _ => &[],
+    };
+    let mut indices = pipelines
+        .iter()
+        .flat_map(|p| p.steps().iter().map(|s| s.column.as_str()))
+        .chain(route_columns.iter().map(String::as_str))
+        .map(|name| schema.index_of(name).ok())
+        .collect::<Option<Vec<usize>>>()?;
+    indices.sort_unstable();
+    indices.dedup();
+    Some(indices)
 }
 
 /// Join per-morsel results in row order; a single morsel moves through.
@@ -1390,6 +1432,55 @@ mod tests {
             .with_cancel(token)
             .execute(&plan);
         assert_eq!(ok.unwrap().num_rows(), 4);
+    }
+
+    #[test]
+    fn predict_morsels_carry_only_the_scorer_columns() {
+        // Records the width of every batch it scores.
+        struct WidthScorer(std::sync::Mutex<Vec<(usize, usize)>>);
+        impl Scorer for WidthScorer {
+            fn score(&self, node: &Plan, batch: &RecordBatch, c: &CancelToken) -> Result<Vec<f64>> {
+                let mut seen = self.0.lock().unwrap();
+                seen.push((batch.num_rows(), batch.num_columns()));
+                PipelineScorer.score(node, batch, c)
+            }
+        }
+        let cat = catalog();
+        let plan = Plan::Predict {
+            input: Box::new(scan(&cat, "people")),
+            model: ModelRef {
+                name: "m".into(),
+                pipeline: Arc::new(
+                    Pipeline::new(
+                        vec![FeatureStep::new("age", Transform::Identity)],
+                        Estimator::Linear(
+                            LinearModel::new(vec![2.0], 1.0, LinearKind::Regression).unwrap(),
+                        ),
+                    )
+                    .unwrap(),
+                ),
+            },
+            output: "s".into(),
+            mode: raven_ir::ExecutionMode::InProcess,
+        };
+        let run = |options| {
+            let scorer = WidthScorer(std::sync::Mutex::new(Vec::new()));
+            let out = Executor::new(&cat, &scorer, options)
+                .execute(&plan)
+                .unwrap();
+            (out, scorer.0.into_inner().unwrap())
+        };
+        let (whole, seen) = run(ExecOptions::serial());
+        // One morsel: the input batch itself, every column.
+        assert_eq!(seen, vec![(4, 3)]);
+        let (split, mut seen) = run(ExecOptions {
+            parallelism: 2,
+            parallel_threshold: 1,
+        });
+        seen.sort_unstable();
+        // Two morsels of the model's one input column each.
+        assert_eq!(seen, vec![(2, 1), (2, 1)]);
+        assert_eq!(split, whole);
     }
 
     #[test]

@@ -6,9 +6,10 @@ use raven_data::RecordBatch;
 use raven_ir::{Device, ExecutionMode, Plan};
 use raven_relational::{CancelToken, ExecError, Scorer};
 use raven_tensor::{
-    Device as TensorDevice, InferenceSession, SessionCache, SessionOptions, Tensor,
+    Device as TensorDevice, Graph, InferenceSession, SessionCache, SessionOptions, Tensor,
 };
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 /// Scorer configuration.
 #[derive(Debug, Clone, Default)]
@@ -40,33 +41,49 @@ impl ScorerConfig {
 pub struct RavenScorer {
     config: ScorerConfig,
     sessions: SessionCache,
-    /// Graph fingerprints memoized by `Arc` pointer identity: optimizer
-    /// rewrites (pruning, projection pushdown) produce *variants* of a
-    /// stored model that must not collide in the session cache.
-    fingerprints: parking_lot::Mutex<std::collections::HashMap<usize, u64>>,
+    /// Content fingerprints of translated graphs, memoized by `Arc`
+    /// address: optimizer rewrites (pruning, projection pushdown) produce
+    /// *variants* of a stored model that must not collide in the session
+    /// cache, and hashing a big graph on every call is not free.
+    ///
+    /// Each entry holds a `Weak` to the graph it keyed. While it lives,
+    /// the graph's allocation cannot be freed, so no other graph can
+    /// take that address and a hit is always the graph that was hashed;
+    /// once every plan drops the graph the entry is stale (its strong
+    /// count is 0) and is swept. So the memo never keys by a freed
+    /// address, and it holds little more than the graphs plans still use.
+    fingerprints: parking_lot::Mutex<HashMap<usize, (Weak<Graph>, u64)>>,
 }
+
+/// Memo size at which [`RavenScorer::graph_fingerprint`] first sweeps
+/// stale entries (then again at every power of two).
+const FINGERPRINT_SWEEP_MIN: usize = 64;
 
 impl RavenScorer {
     pub fn new(config: ScorerConfig) -> Self {
         RavenScorer {
             config,
             sessions: SessionCache::new(),
-            fingerprints: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            fingerprints: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
-    /// Stable content hash of a graph (memoized per `Arc`).
-    fn graph_fingerprint(&self, graph: &Arc<raven_tensor::Graph>) -> u64 {
+    /// Stable content hash of a graph (memoized per live `Arc`).
+    fn graph_fingerprint(&self, graph: &Arc<Graph>) -> u64 {
         use std::hash::{Hash, Hasher};
         let key = Arc::as_ptr(graph) as usize;
-        if let Some(&fp) = self.fingerprints.lock().get(&key) {
+        if let Some(&(_, fp)) = self.fingerprints.lock().get(&key) {
             return fp;
         }
         let bytes = raven_tensor::serialize::to_bytes(graph);
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         bytes.hash(&mut hasher);
         let fp = hasher.finish();
-        self.fingerprints.lock().insert(key, fp);
+        let mut memo = self.fingerprints.lock();
+        memo.insert(key, (Arc::downgrade(graph), fp));
+        if memo.len() >= FINGERPRINT_SWEEP_MIN && memo.len().is_power_of_two() {
+            memo.retain(|_, (weak, _)| weak.strong_count() > 0);
+        }
         fp
     }
 
@@ -84,7 +101,7 @@ impl RavenScorer {
     fn tensor_session(
         &self,
         model_name: &str,
-        graph: &Arc<raven_tensor::Graph>,
+        graph: &Arc<Graph>,
         device: Device,
     ) -> Result<Arc<InferenceSession>> {
         let key_device = match device {
@@ -118,7 +135,7 @@ impl RavenScorer {
     fn score_tensor(
         &self,
         model: &raven_ir::ModelRef,
-        graph: &Arc<raven_tensor::Graph>,
+        graph: &Arc<Graph>,
         device: Device,
         batch: &RecordBatch,
     ) -> Result<Vec<f64>> {
@@ -410,6 +427,25 @@ mod tests {
         scorer.invalidate("m");
         scorer.score(&node, &b, &CancelToken::new()).unwrap();
         assert_eq!(scorer.cache_stats().1, 2);
+    }
+
+    #[test]
+    fn fingerprint_memo_drops_graphs_plans_dropped() {
+        let scorer = RavenScorer::new(ScorerConfig::instant());
+        let kept = Arc::new(translate_pipeline(&pipeline()).unwrap());
+        let fp = scorer.graph_fingerprint(&kept);
+        for _ in 0..1_000 {
+            let graph = Arc::new(translate_pipeline(&pipeline()).unwrap());
+            // Same content, same fingerprint, whatever the address.
+            assert_eq!(scorer.graph_fingerprint(&graph), fp);
+        }
+        let memo = scorer.fingerprints.lock();
+        assert!(
+            memo.len() <= 2 * FINGERPRINT_SWEEP_MIN,
+            "{} entries",
+            memo.len()
+        );
+        assert!(memo.contains_key(&(Arc::as_ptr(&kept) as usize)));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!    constant-folding within ONNX Runtime"), dead-code elimination, and
 //!    MatMul+Add → Gemm fusion.
 //! 3. **Inference sessions with caching and batch execution**
-//!    ([`session`]): sessions own an optimized graph; a
+//!    ([`session`]): sessions own an optimized graph, lowered once into a
+//!    fixed schedule — row-separable graphs run in cache-sized row blocks
+//!    ([`BLOCK_ROWS`]) and constant weights feed a packed, branch-free
+//!    GEMM — bit-identical to the reference [`Graph::run`]; a
 //!    [`session::SessionCache`] reproduces SQL Server's
 //!    model/inference-session caching that makes warm small-batch queries
 //!    fast (Fig. 3, observation ii); batched and multi-threaded execution
@@ -28,6 +31,7 @@
 //! execution time from a calibrated launch-latency + throughput model. See
 //! "Substitutions" in `ARCHITECTURE.md`.
 
+mod compiled;
 pub mod device;
 pub mod error;
 pub mod graph;
@@ -41,7 +45,7 @@ pub use device::{Device, RunStats};
 pub use error::TensorError;
 pub use graph::{Graph, GraphBuilder, Node};
 pub use ops::Op;
-pub use session::{InferenceSession, SessionCache, SessionOptions};
+pub use session::{InferenceSession, SessionCache, SessionOptions, BLOCK_ROWS};
 pub use tensor::Tensor;
 
 /// Crate-wide result alias.

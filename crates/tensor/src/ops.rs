@@ -5,6 +5,86 @@ use crate::tensor::Tensor;
 use crate::Result;
 use std::fmt;
 
+/// Evaluate `$body` with `$f` bound to the scalar function of the
+/// elementwise binary operator `$op` (`None` for any other operator).
+/// Every binary kernel — the reference interpreter's and a compiled
+/// session's blocked one — applies the same closure, so the two agree
+/// bit for bit; the closures stay statically dispatched in both.
+macro_rules! binary_kernel {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            Op::Add => {
+                let $f = |a: f32, b: f32| a + b;
+                Some($body)
+            }
+            Op::Sub => {
+                let $f = |a: f32, b: f32| a - b;
+                Some($body)
+            }
+            Op::Mul => {
+                let $f = |a: f32, b: f32| a * b;
+                Some($body)
+            }
+            Op::Div => {
+                let $f = |a: f32, b: f32| a / b;
+                Some($body)
+            }
+            Op::Less => {
+                let $f = |a: f32, b: f32| $crate::ops::bool2f(a < b);
+                Some($body)
+            }
+            Op::LessOrEqual => {
+                let $f = |a: f32, b: f32| $crate::ops::bool2f(a <= b);
+                Some($body)
+            }
+            Op::Greater => {
+                let $f = |a: f32, b: f32| $crate::ops::bool2f(a > b);
+                Some($body)
+            }
+            Op::GreaterOrEqual => {
+                let $f = |a: f32, b: f32| $crate::ops::bool2f(a >= b);
+                Some($body)
+            }
+            Op::Equal => {
+                let $f = |a: f32, b: f32| $crate::ops::bool2f(a == b);
+                Some($body)
+            }
+            _ => None,
+        }
+    };
+}
+
+/// [`binary_kernel!`] for the elementwise unary operators.
+macro_rules! unary_kernel {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            Op::Neg => {
+                let $f = |x: f32| -x;
+                Some($body)
+            }
+            Op::Relu => {
+                let $f = |x: f32| x.max(0.0);
+                Some($body)
+            }
+            Op::Sigmoid => {
+                let $f = |x: f32| 1.0 / (1.0 + (-x).exp());
+                Some($body)
+            }
+            Op::Tanh => {
+                let $f = f32::tanh;
+                Some($body)
+            }
+            Op::Exp => {
+                let $f = f32::exp;
+                Some($body)
+            }
+            _ => None,
+        }
+    };
+}
+
+pub(crate) use {binary_kernel, unary_kernel};
+
 /// A tensor operator.
 ///
 /// The set covers what the paper's NN translations need (§4.2 "NN
@@ -132,26 +212,6 @@ impl Op {
         match self {
             Op::MatMul => matmul(inputs[0], inputs[1]),
             Op::Gemm { alpha, beta } => gemm(inputs[0], inputs[1], inputs[2], *alpha, *beta),
-            Op::Add => broadcast_binary(inputs[0], inputs[1], "Add", |a, b| a + b),
-            Op::Sub => broadcast_binary(inputs[0], inputs[1], "Sub", |a, b| a - b),
-            Op::Mul => broadcast_binary(inputs[0], inputs[1], "Mul", |a, b| a * b),
-            Op::Div => broadcast_binary(inputs[0], inputs[1], "Div", |a, b| a / b),
-            Op::Neg => Ok(unary(inputs[0], |x| -x)),
-            Op::Relu => Ok(unary(inputs[0], |x| x.max(0.0))),
-            Op::Sigmoid => Ok(unary(inputs[0], |x| 1.0 / (1.0 + (-x).exp()))),
-            Op::Tanh => Ok(unary(inputs[0], f32::tanh)),
-            Op::Exp => Ok(unary(inputs[0], f32::exp)),
-            Op::Less => broadcast_binary(inputs[0], inputs[1], "Less", |a, b| bool2f(a < b)),
-            Op::LessOrEqual => {
-                broadcast_binary(inputs[0], inputs[1], "LessOrEqual", |a, b| bool2f(a <= b))
-            }
-            Op::Greater => broadcast_binary(inputs[0], inputs[1], "Greater", |a, b| bool2f(a > b)),
-            Op::GreaterOrEqual => {
-                broadcast_binary(inputs[0], inputs[1], "GreaterOrEqual", |a, b| {
-                    bool2f(a >= b)
-                })
-            }
-            Op::Equal => broadcast_binary(inputs[0], inputs[1], "Equal", |a, b| bool2f(a == b)),
             Op::GatherCols { indices } => gather_cols(inputs[0], indices),
             Op::Concat { axis } => concat(inputs, *axis),
             Op::Reshape { shape } => inputs[0].clone().reshape(shape.clone()),
@@ -159,6 +219,21 @@ impl Op {
             Op::ReduceMean { axis } => reduce(inputs[0], *axis, true),
             Op::ArgMax => argmax(inputs[0]),
             Op::Softmax => softmax(inputs[0]),
+            Op::Add
+            | Op::Sub
+            | Op::Mul
+            | Op::Div
+            | Op::Less
+            | Op::LessOrEqual
+            | Op::Greater
+            | Op::GreaterOrEqual
+            | Op::Equal => binary_kernel!(self, f => {
+                broadcast_binary(inputs[0], inputs[1], self.name(), f)
+            })
+            .expect("a binary operator"),
+            Op::Neg | Op::Relu | Op::Sigmoid | Op::Tanh | Op::Exp => {
+                unary_kernel!(self, f => Ok(unary(inputs[0], f))).expect("a unary operator")
+            }
         }
     }
 
@@ -166,23 +241,23 @@ impl Op {
     /// input shapes (used by the simulated-GPU timing model and cost-based
     /// optimizer; precision matters less than proportionality).
     pub fn flops(&self, inputs: &[&Tensor]) -> u64 {
-        let out_elems = |t: &Tensor| t.numel() as u64;
+        let shapes: Vec<&[usize]> = inputs.iter().map(|t| t.shape()).collect();
+        self.flops_for_shapes(&shapes)
+    }
+
+    /// [`Op::flops`] from the input shapes alone, so a compiled session
+    /// can charge a blocked run exactly what the whole-matrix run costs.
+    pub(crate) fn flops_for_shapes(&self, shapes: &[&[usize]]) -> u64 {
+        let numel = |s: &[usize]| s.iter().product::<usize>() as u64;
         match self {
-            Op::MatMul | Op::Gemm { .. } => {
-                if inputs.len() >= 2 && inputs[0].rank() == 2 && inputs[1].rank() == 2 {
-                    let m = inputs[0].rows() as u64;
-                    let k = inputs[0].cols() as u64;
-                    let n = inputs[1].cols() as u64;
-                    2 * m * k * n
-                } else {
-                    0
-                }
+            Op::MatMul | Op::Gemm { .. } => match shapes {
+                [&[m, k], &[_, n], ..] => 2 * (m * k * n) as u64,
+                _ => 0,
+            },
+            Op::Softmax | Op::Sigmoid | Op::Tanh | Op::Exp => {
+                shapes.first().map(|s| 4 * numel(s)).unwrap_or(0)
             }
-            Op::Softmax => inputs.first().map(|t| 4 * out_elems(t)).unwrap_or(0),
-            Op::Sigmoid | Op::Tanh | Op::Exp => {
-                inputs.first().map(|t| 4 * out_elems(t)).unwrap_or(0)
-            }
-            _ => inputs.iter().map(|t| out_elems(t)).max().unwrap_or(0),
+            _ => shapes.iter().map(|s| numel(s)).max().unwrap_or(0),
         }
     }
 }
@@ -194,7 +269,7 @@ impl fmt::Display for Op {
 }
 
 #[inline]
-fn bool2f(b: bool) -> f32 {
+pub(crate) fn bool2f(b: bool) -> f32 {
     if b {
         1.0
     } else {
@@ -210,6 +285,78 @@ fn unary(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     out
 }
 
+/// How a binary operator pairs its operands, decided from their shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Broadcast {
+    /// Identical shapes: elementwise.
+    Same,
+    /// The right operand is one element.
+    ScalarRight,
+    /// The left operand is one element.
+    ScalarLeft,
+    /// `[m,n] ∘ [n]`: the right vector broadcasts across rows.
+    RowRight,
+    /// `[n] ∘ [m,n]`: the left vector broadcasts across rows.
+    RowLeft,
+}
+
+impl Broadcast {
+    /// The pairing [`broadcast_binary`] applies to operands of these
+    /// shapes (checked in this order), or `None` if they do not broadcast.
+    pub(crate) fn of(a: &[usize], b: &[usize]) -> Option<Broadcast> {
+        let numel = |s: &[usize]| s.iter().product::<usize>();
+        if a == b {
+            Some(Broadcast::Same)
+        } else if numel(b) == 1 {
+            Some(Broadcast::ScalarRight)
+        } else if numel(a) == 1 {
+            Some(Broadcast::ScalarLeft)
+        } else if a.len() == 2 && b.len() == 1 && a[1] == b[0] {
+            Some(Broadcast::RowRight)
+        } else if b.len() == 2 && a.len() == 1 && b[1] == a[0] {
+            Some(Broadcast::RowLeft)
+        } else {
+            None
+        }
+    }
+
+    /// Append `a ∘ b` to `out`. For the row forms `a` (or `b`) holds
+    /// whole rows of the vector's length; for the scalar forms the
+    /// one-element operand is read once.
+    #[inline]
+    pub(crate) fn apply(
+        self,
+        a: &[f32],
+        b: &[f32],
+        f: impl Fn(f32, f32) -> f32,
+        out: &mut Vec<f32>,
+    ) {
+        match self {
+            Broadcast::Same => out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y))),
+            Broadcast::ScalarRight => {
+                let s = b[0];
+                out.extend(a.iter().map(|&x| f(x, s)));
+            }
+            Broadcast::ScalarLeft => {
+                let s = a[0];
+                out.extend(b.iter().map(|&y| f(s, y)));
+            }
+            // A zero-length vector pairs with zero-width rows: no output.
+            Broadcast::RowRight if !b.is_empty() => {
+                for row in a.chunks_exact(b.len()) {
+                    out.extend(row.iter().zip(b).map(|(&x, &y)| f(x, y)));
+                }
+            }
+            Broadcast::RowLeft if !a.is_empty() => {
+                for row in b.chunks_exact(a.len()) {
+                    out.extend(a.iter().zip(row).map(|(&x, &y)| f(x, y)));
+                }
+            }
+            Broadcast::RowRight | Broadcast::RowLeft => {}
+        }
+    }
+}
+
 /// Broadcasting for binary ops. Supported shapes:
 /// * identical shapes (elementwise);
 /// * `[m,n] ∘ [n]` — the vector broadcasts across rows;
@@ -221,103 +368,219 @@ fn broadcast_binary(
     op: &str,
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<Tensor> {
-    // Same shape: straight elementwise.
-    if a.shape() == b.shape() {
-        let data = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| f(x, y))
-            .collect();
-        return Tensor::new(a.shape().to_vec(), data);
-    }
-    // Scalar on either side.
-    if b.numel() == 1 {
-        let s = b.data()[0];
-        let data = a.data().iter().map(|&x| f(x, s)).collect();
-        return Tensor::new(a.shape().to_vec(), data);
-    }
-    if a.numel() == 1 {
-        let s = a.data()[0];
-        let data = b.data().iter().map(|&y| f(s, y)).collect();
-        return Tensor::new(b.shape().to_vec(), data);
-    }
-    // Matrix ∘ row-vector.
-    if a.rank() == 2 && b.rank() == 1 && a.cols() == b.numel() {
-        let (m, n) = (a.rows(), a.cols());
-        let mut data = Vec::with_capacity(m * n);
-        let bv = b.data();
-        for i in 0..m {
-            let row = &a.data()[i * n..(i + 1) * n];
-            for j in 0..n {
-                data.push(f(row[j], bv[j]));
-            }
-        }
-        return Tensor::matrix(m, n, data);
-    }
-    if b.rank() == 2 && a.rank() == 1 && b.cols() == a.numel() {
-        let (m, n) = (b.rows(), b.cols());
-        let mut data = Vec::with_capacity(m * n);
-        let av = a.data();
-        for i in 0..m {
-            let row = &b.data()[i * n..(i + 1) * n];
-            for j in 0..n {
-                data.push(f(av[j], row[j]));
-            }
-        }
-        return Tensor::matrix(m, n, data);
-    }
-    Err(TensorError::ShapeMismatch {
-        expected: format!("{op}-broadcastable shapes"),
-        actual: format!("{:?} vs {:?}", a.shape(), b.shape()),
-    })
+    let Some(pairing) = Broadcast::of(a.shape(), b.shape()) else {
+        return Err(TensorError::ShapeMismatch {
+            expected: format!("{op}-broadcastable shapes"),
+            actual: format!("{:?} vs {:?}", a.shape(), b.shape()),
+        });
+    };
+    let shape = match pairing {
+        Broadcast::ScalarLeft | Broadcast::RowLeft => b.shape(),
+        _ => a.shape(),
+    };
+    let mut data = Vec::with_capacity(shape.iter().product());
+    pairing.apply(a.data(), b.data(), f, &mut data);
+    Tensor::new(shape.to_vec(), data)
 }
 
 /// `A[m,k] × B[k,n]`. Rank-1 `A` is treated as `[1,k]`; rank-1 `B` as `[k,1]`.
-///
-/// The kernel uses the i-k-j loop order so the inner loop streams both the
-/// B row and the output row sequentially — the standard cache-friendly
-/// ordering for row-major data.
 fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k1) = if a.rank() == 2 {
+    let (m, k) = lhs_dims(a);
+    let n = rhs_cols(b, k)?;
+    let mut out = vec![0.0f32; m * n];
+    matmul_rows_sparse(a.data(), m, k, b.data(), n, &mut out);
+    Tensor::new(product_shape(a.rank(), b.rank(), m, n), out)
+}
+
+/// `(m, k)` of a product's left operand (rank-1 is one row).
+pub(crate) fn lhs_dims(a: &Tensor) -> (usize, usize) {
+    if a.rank() == 2 {
         (a.rows(), a.cols())
     } else {
         (1, a.numel())
-    };
+    }
+}
+
+/// Columns of a product's right operand, checking its inner dimension
+/// against the left operand's `k` (rank-1 `B` is one column).
+pub(crate) fn rhs_cols(b: &Tensor, k: usize) -> Result<usize> {
     let (k2, n) = if b.rank() == 2 {
         (b.rows(), b.cols())
     } else {
         (b.numel(), 1)
     };
-    if k1 != k2 {
+    if k != k2 {
         return Err(TensorError::ShapeMismatch {
-            expected: format!("inner dims to match ({k1})"),
+            expected: format!("inner dims to match ({k})"),
             actual: format!("{k2}"),
         });
     }
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
+    Ok(n)
+}
+
+/// Shape of an `[m, n]` product given the operands' ranks: a rank-1 `B`
+/// yields a vector, and two vectors a one-element vector.
+pub(crate) fn product_shape(a_rank: usize, b_rank: usize, m: usize, n: usize) -> Vec<usize> {
+    match (a_rank, b_rank) {
+        (1, 1) => vec![1],
+        (_, 1) => vec![m],
+        _ => vec![m, n],
+    }
+}
+
+/// The reference GEMM row kernel: accumulate `A[m,k] × B[k,n]` into
+/// `out`, which must start zeroed.
+///
+/// The i-k-j loop order streams both the B row and the output row
+/// sequentially, and exact zeros in `A` are skipped. Skipping is exact
+/// only while `B` is finite (`0 × ∞` is NaN), so this kernel serves every
+/// weight matrix holding a NaN or ±∞; finite weights take
+/// [`PackedWeights`]. Never inlined, so the interpreter and a compiled
+/// session run the very same machine code.
+#[inline(never)]
+pub(crate) fn matmul_rows_sparse(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     for i in 0..m {
-        let arow = &ad[i * k1..(i + 1) * k1];
+        let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in arow.iter().enumerate() {
             if av == 0.0 {
                 continue; // sparse-weight fast path; exact zeros are common after pruning
             }
-            let brow = &bd[kk * n..(kk + 1) * n];
+            let brow = &b[kk * n..(kk + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
             }
         }
     }
-    if a.rank() == 1 && b.rank() == 1 {
-        Tensor::new(vec![1], out)
-    } else if b.rank() == 1 {
-        Tensor::new(vec![m], out)
-    } else {
-        Tensor::matrix(m, n, out)
+}
+
+/// A constant, all-finite GEMM right operand `B[k,n]`, packed once into
+/// column panels of `width` columns (`k × width` values each, the last
+/// one zero-padded). Panels are 8 columns wide, or as wide as `B` when it
+/// is narrower: 1 for a matrix–vector product, 4 for up to 4 columns.
+///
+/// Its kernel is branch-free: every `A` value is multiplied in, zeros
+/// included, into accumulators held in registers. That equals the
+/// reference kernel bit for bit. Each output starts at +0.0 and sums its
+/// terms in the same `k` order; a sum that starts at +0.0 is never −0.0
+/// (in IEEE arithmetic `x + y` is −0.0 only if both are), and adding a
+/// zero term — `±0 × b` is ±0.0 for finite `b` — to anything but −0.0
+/// leaves its bits unchanged. Hence [`PackedWeights::pack`] refuses any
+/// matrix holding a NaN or ±∞.
+#[derive(Debug)]
+pub(crate) struct PackedWeights {
+    k: usize,
+    n: usize,
+    width: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedWeights {
+    /// Pack `b` (rank-1 is one column), or `None` if any entry is not finite.
+    pub(crate) fn pack(b: &Tensor) -> Option<PackedWeights> {
+        if !b.data().iter().all(|v| v.is_finite()) {
+            return None;
+        }
+        let (k, n) = if b.rank() == 2 {
+            (b.rows(), b.cols())
+        } else {
+            (b.numel(), 1)
+        };
+        let width = match n {
+            1 => 1,
+            2..=4 => 4,
+            _ => 8,
+        };
+        let mut panels = vec![0.0f32; n.div_ceil(width) * k * width];
+        for (p, panel) in panels.chunks_exact_mut((k * width).max(1)).enumerate() {
+            let cols = width.min(n - p * width);
+            for (kk, dst) in panel.chunks_exact_mut(width).enumerate() {
+                dst[..cols].copy_from_slice(&b.data()[kk * n + p * width..][..cols]);
+            }
+        }
+        Some(PackedWeights {
+            k,
+            n,
+            width,
+            panels,
+        })
     }
+
+    /// `out[m,n] = A[m,k] × B`, overwriting `out`.
+    pub(crate) fn matmul_rows(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        debug_assert_eq!(a.len(), m * self.k);
+        debug_assert_eq!(out.len(), m * self.n);
+        if self.k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        match self.width {
+            1 => self.panels_times::<1, 8>(a, m, out),
+            4 => self.panels_times::<4, 4>(a, m, out),
+            _ => self.panels_times::<8, 4>(a, m, out),
+        }
+    }
+
+    /// The kernel for panels `W` columns wide, `R` rows at a time.
+    fn panels_times<const W: usize, const R: usize>(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        for (p, panel) in self.panels.chunks_exact(k * W).enumerate() {
+            let col = p * W;
+            let cols = W.min(n - col);
+            let mut i = 0;
+            while i + R <= m {
+                let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+                let acc = tile_times::<W, R>(rows, panel);
+                for (r, acc) in acc.iter().enumerate() {
+                    store(&mut out[(i + r) * n + col..], acc, cols);
+                }
+                i += R;
+            }
+            for i in i..m {
+                let [acc] = tile_times::<W, 1>([&a[i * k..(i + 1) * k]], panel);
+                store(&mut out[i * n + col..], &acc, cols);
+            }
+        }
+    }
+}
+
+/// Write the first `cols` of a panel row's `W` sums (a full panel as one
+/// fixed-size copy).
+#[inline(always)]
+fn store<const W: usize>(out: &mut [f32], acc: &[f32; W], cols: usize) {
+    if cols == W {
+        out[..W].copy_from_slice(acc);
+    } else {
+        out[..cols].copy_from_slice(&acc[..cols]);
+    }
+}
+
+/// `R` rows of `A` (each `k` long) times one `k × W` panel, summed in `k`
+/// order in registers.
+#[inline(always)]
+fn tile_times<const W: usize, const R: usize>(rows: [&[f32]; R], panel: &[f32]) -> [[f32; W]; R] {
+    let k = panel.len() / W;
+    assert!(rows.iter().all(|row| row.len() == k));
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let bv: &[f32; W] = panel[kk * W..(kk + 1) * W]
+            .try_into()
+            .expect("W-wide panel row");
+        for r in 0..R {
+            let av = rows[r][kk];
+            for j in 0..W {
+                acc[r][j] += av * bv[j];
+            }
+        }
+    }
+    acc
 }
 
 fn gemm(a: &Tensor, b: &Tensor, c: &Tensor, alpha: f32, beta: f32) -> Result<Tensor> {
@@ -330,12 +593,45 @@ fn gemm(a: &Tensor, b: &Tensor, c: &Tensor, alpha: f32, beta: f32) -> Result<Ten
     if beta == 0.0 {
         return Ok(prod);
     }
-    let scaled_c = if beta == 1.0 {
+    let scaled_c = gemm_bias(c, beta);
+    broadcast_binary(&prod, &scaled_c, "Gemm", |x, y| x + y)
+}
+
+/// Gemm's `beta·C` term.
+pub(crate) fn gemm_bias(c: &Tensor, beta: f32) -> Tensor {
+    if beta == 1.0 {
         c.clone()
     } else {
         unary(c, |x| x * beta)
-    };
-    broadcast_binary(&prod, &scaled_c, "Gemm", |x, y| x + y)
+    }
+}
+
+/// `prod + bias` with [`broadcast_binary`]'s semantics, in place when the
+/// sum has `prod`'s shape; otherwise through [`broadcast_binary`] itself.
+pub(crate) fn add_bias(mut prod: Tensor, bias: &Tensor) -> Result<Tensor> {
+    let add = |x: f32, y: f32| x + y;
+    match Broadcast::of(prod.shape(), bias.shape()) {
+        Some(Broadcast::Same) => {
+            for (x, &y) in prod.data_mut().iter_mut().zip(bias.data()) {
+                *x = add(*x, y);
+            }
+        }
+        Some(Broadcast::ScalarRight) => {
+            let s = bias.data()[0];
+            for x in prod.data_mut() {
+                *x = add(*x, s);
+            }
+        }
+        Some(Broadcast::RowRight) => {
+            for row in prod.data_mut().chunks_exact_mut(bias.numel()) {
+                for (x, &y) in row.iter_mut().zip(bias.data()) {
+                    *x = add(*x, y);
+                }
+            }
+        }
+        _ => return broadcast_binary(&prod, bias, "Gemm", add),
+    }
+    Ok(prod)
 }
 
 fn gather_cols(a: &Tensor, indices: &[usize]) -> Result<Tensor> {
@@ -352,15 +648,38 @@ fn gather_cols(a: &Tensor, indices: &[usize]) -> Result<Tensor> {
             actual: format!("{bad}"),
         });
     }
-    let k = indices.len();
-    let mut out = Vec::with_capacity(m * k);
-    for i in 0..m {
-        let row = &a.data()[i * n..(i + 1) * n];
-        for &j in indices {
-            out.push(row[j]);
-        }
+    let mut out = Vec::with_capacity(m * indices.len());
+    gather_rows(a.data(), m, n, indices, &mut out);
+    Tensor::matrix(m, indices.len(), out)
+}
+
+/// Append columns `indices` of each of the `m` `n`-wide rows of `a`.
+pub(crate) fn gather_rows(a: &[f32], m: usize, n: usize, indices: &[usize], out: &mut Vec<f32>) {
+    match indices {
+        // One column — what NN translation gathers per pipeline step.
+        &[j] => out.extend((0..m).map(|i| a[i * n + j])),
+        _ => for_rows(a, m, n, |row| out.extend(indices.iter().map(|&j| row[j]))),
     }
-    Tensor::matrix(m, k, out)
+}
+
+/// Append the `m` rows of the side-by-side concatenation of `parts`,
+/// each a row-major block and its width.
+pub(crate) fn concat_rows(parts: &[(&[f32], usize)], m: usize, out: &mut Vec<f32>) {
+    let total: usize = parts.iter().map(|&(_, n)| n).sum();
+    let start = out.len();
+    out.resize(start + m * total, 0.0);
+    let mut offset = 0;
+    for &(data, n) in parts {
+        for i in 0..m {
+            let dst = start + i * total + offset;
+            match n {
+                // One column per part — what NN translation concatenates.
+                1 => out[dst] = data[i],
+                _ => out[dst..dst + n].copy_from_slice(&data[i * n..(i + 1) * n]),
+            }
+        }
+        offset += n;
+    }
 }
 
 fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor> {
@@ -374,13 +693,10 @@ fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor> {
                     actual: "mismatched row counts".into(),
                 });
             }
-            let total: usize = inputs.iter().map(|t| t.cols()).sum();
+            let parts: Vec<(&[f32], usize)> = inputs.iter().map(|t| (t.data(), t.cols())).collect();
+            let total: usize = parts.iter().map(|&(_, n)| n).sum();
             let mut out = Vec::with_capacity(m * total);
-            for i in 0..m {
-                for t in inputs {
-                    out.extend_from_slice(t.row(i)?);
-                }
-            }
+            concat_rows(&parts, m, &mut out);
             Tensor::matrix(m, total, out)
         }
         _ => Err(TensorError::InvalidGraph(format!(
@@ -414,15 +730,29 @@ fn reduce(a: &Tensor, axis: usize, mean: bool) -> Result<Tensor> {
         }
         1 => {
             let mut out = Vec::with_capacity(m);
-            for i in 0..m {
-                let s: f32 = a.row(i)?.iter().sum();
-                out.push(if mean && n > 0 { s / n as f32 } else { s });
-            }
+            reduce_rows(a.data(), m, n, mean, &mut out);
             Ok(Tensor::vector(out))
         }
         _ => Err(TensorError::InvalidGraph(format!(
             "Reduce axis must be 0 or 1, got {axis}"
         ))),
+    }
+}
+
+/// Append the sum (or mean) of each of the `m` `n`-wide rows of `a`.
+pub(crate) fn reduce_rows(a: &[f32], m: usize, n: usize, mean: bool, out: &mut Vec<f32>) {
+    for_rows(a, m, n, |row| {
+        let s: f32 = row.iter().sum();
+        out.push(if mean && n > 0 { s / n as f32 } else { s });
+    });
+}
+
+/// Call `f` on each of the `m` `n`-wide rows of `a` (a row count of its
+/// own, since rows of width 0 still count).
+#[inline]
+fn for_rows(a: &[f32], m: usize, n: usize, mut f: impl FnMut(&[f32])) {
+    for i in 0..m {
+        f(&a[i * n..(i + 1) * n]);
     }
 }
 
@@ -434,8 +764,14 @@ fn argmax(a: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = Vec::with_capacity(a.rows());
-    for i in 0..a.rows() {
-        let row = a.row(i)?;
+    argmax_rows(a.data(), a.rows(), a.cols(), &mut out);
+    Ok(Tensor::vector(out))
+}
+
+/// Append the index (as `f32`) of the first maximum of each of the `m`
+/// `n`-wide rows of `a`.
+pub(crate) fn argmax_rows(a: &[f32], m: usize, n: usize, out: &mut Vec<f32>) {
+    for_rows(a, m, n, |row| {
         let mut best = 0usize;
         for (j, &v) in row.iter().enumerate() {
             if v > row[best] {
@@ -443,8 +779,7 @@ fn argmax(a: &Tensor) -> Result<Tensor> {
             }
         }
         out.push(best as f32);
-    }
-    Ok(Tensor::vector(out))
+    });
 }
 
 fn softmax(a: &Tensor) -> Result<Tensor> {
@@ -454,16 +789,19 @@ fn softmax(a: &Tensor) -> Result<Tensor> {
             actual: format!("rank {}", a.rank()),
         });
     }
-    let (m, n) = (a.rows(), a.cols());
-    let mut out = Vec::with_capacity(m * n);
-    for i in 0..m {
-        let row = a.row(i)?;
+    let mut out = Vec::with_capacity(a.numel());
+    softmax_rows(a.data(), a.rows(), a.cols(), &mut out);
+    Tensor::matrix(a.rows(), a.cols(), out)
+}
+
+/// Append the softmax of each of the `m` `n`-wide rows of `a`.
+pub(crate) fn softmax_rows(a: &[f32], m: usize, n: usize, out: &mut Vec<f32>) {
+    for_rows(a, m, n, |row| {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
         let sum: f32 = exps.iter().sum();
         out.extend(exps.into_iter().map(|e| e / sum));
-    }
-    Tensor::matrix(m, n, out)
+    });
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Inference sessions, batched execution, and the session cache.
 
+use crate::compiled::Compiled;
+pub use crate::compiled::BLOCK_ROWS;
 use crate::device::{Device, RunStats};
 use crate::error::TensorError;
 use crate::graph::Graph;
@@ -37,15 +39,23 @@ impl Default for SessionOptions {
 
 /// An optimized, executable model: the analogue of an ONNX Runtime
 /// inference session.
+///
+/// Construction validates and optimizes the graph, then lowers it once
+/// into a fixed schedule (see the `compiled` module): an execution order
+/// with slot-indexed values, packed finite weights for a branch-free
+/// GEMM, and — for row-separable graphs — execution in [`BLOCK_ROWS`]-row
+/// blocks. Every run returns what [`Graph::run`] returns on the optimized
+/// graph, bit for bit, with the same FLOP count.
 #[derive(Debug)]
 pub struct InferenceSession {
     graph: Graph,
+    compiled: Compiled,
     options: SessionOptions,
     report: OptimizeReport,
 }
 
 impl InferenceSession {
-    /// Validate, optimize (unless disabled) and wrap a graph.
+    /// Validate, optimize (unless disabled), lower and wrap a graph.
     pub fn new(mut graph: Graph, options: SessionOptions) -> Result<Self> {
         graph.validate()?;
         let report = if options.optimize {
@@ -53,8 +63,10 @@ impl InferenceSession {
         } else {
             OptimizeReport::default()
         };
+        let compiled = Compiled::new(&graph)?;
         Ok(InferenceSession {
             graph,
+            compiled,
             options,
             report,
         })
@@ -77,18 +89,33 @@ impl InferenceSession {
 
     /// Execute once with named inputs.
     pub fn run(&self, inputs: &HashMap<String, Tensor>) -> Result<(Vec<Tensor>, RunStats)> {
-        let transferred: u64 = inputs
-            .values()
-            .map(|t| (t.numel() * std::mem::size_of::<f32>()) as u64)
-            .sum();
-        let start = Instant::now();
-        let (outputs, flops) = self.graph.run(inputs)?;
-        let wall = start.elapsed();
-        let out_bytes: u64 = outputs
+        let transferred: u64 = inputs.values().map(tensor_bytes).sum();
+        self.run_bound(|name| inputs.get(name), transferred)
+    }
+
+    /// Execute with the single matrix `input` bound to `name`, without
+    /// copying it into a name-keyed map.
+    fn run_one(&self, name: &str, input: &Tensor) -> Result<(Vec<Tensor>, RunStats)> {
+        self.run_bound(|n| (n == name).then_some(input), tensor_bytes(input))
+    }
+
+    /// Bind every graph input through `lookup`, run the compiled graph
+    /// and price the run on the session's device.
+    fn run_bound<'a>(
+        &self,
+        lookup: impl Fn(&str) -> Option<&'a Tensor>,
+        transferred: u64,
+    ) -> Result<(Vec<Tensor>, RunStats)> {
+        let bound = self
+            .graph
+            .inputs
             .iter()
-            .map(|t| (t.numel() * std::mem::size_of::<f32>()) as u64)
-            .sum();
-        let transferred_bytes = transferred + out_bytes;
+            .map(|name| lookup(name).ok_or_else(|| TensorError::NameNotFound(name.clone())))
+            .collect::<Result<Vec<_>>>()?;
+        let start = Instant::now();
+        let (outputs, flops) = self.compiled.run(&self.graph, &bound)?;
+        let wall = start.elapsed();
+        let transferred_bytes = transferred + outputs.iter().map(tensor_bytes).sum::<u64>();
         let stats = RunStats {
             wall,
             simulated: self.options.device.simulate(wall, flops, transferred_bytes),
@@ -123,9 +150,7 @@ impl InferenceSession {
             self.options.batch_size
         };
         if rows <= batch {
-            let mut inputs = HashMap::with_capacity(1);
-            inputs.insert(input_name.to_string(), matrix.clone());
-            return self.run(&inputs);
+            return self.run_one(input_name, matrix);
         }
 
         // Build row ranges.
@@ -148,9 +173,7 @@ impl InferenceSession {
 
         if threads == 1 {
             for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                let mut inputs = HashMap::with_capacity(1);
-                inputs.insert(input_name.to_string(), slice_rows(lo, hi)?);
-                results[i] = Some(self.run(&inputs)?);
+                results[i] = Some(self.run_one(input_name, &slice_rows(lo, hi)?)?);
             }
         } else {
             // Morsel-parallel execution: chunks of batches per worker. This
@@ -164,11 +187,8 @@ impl InferenceSession {
                     let slice_rows = &slice_rows;
                     scope.spawn(move |_| {
                         for (out, &(lo, hi)) in slot.iter_mut().zip(range_chunk) {
-                            let attempt = (|| {
-                                let mut inputs = HashMap::with_capacity(1);
-                                inputs.insert(input_name.to_string(), slice_rows(lo, hi)?);
-                                self.run(&inputs)
-                            })();
+                            let attempt = slice_rows(lo, hi)
+                                .and_then(|batch| self.run_one(input_name, &batch));
                             match attempt {
                                 Ok(v) => *out = Some(v),
                                 Err(e) => errors.lock().push(e),
@@ -232,6 +252,11 @@ impl InferenceSession {
         }
         Ok((outputs, stats))
     }
+}
+
+/// Bytes a tensor moves across the host/device boundary.
+fn tensor_bytes(t: &Tensor) -> u64 {
+    (t.numel() * std::mem::size_of::<f32>()) as u64
 }
 
 /// Cache of live inference sessions keyed by model identity.
